@@ -18,6 +18,7 @@
 //!   history cleaning on `full_group` decisions, orphan-sequence
 //!   destruction on decided unrecoverable gaps.
 
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -327,10 +328,11 @@ impl Engine {
     /// Feeds a decoded PDU received from `from`.
     ///
     /// Structurally invalid PDUs — fields naming processes outside the
-    /// group, vectors of the wrong width — are silently dropped: a
-    /// corrupted (the wire codec has no checksum; real datagram stacks do,
-    /// but bit flips can also survive them) or hostile frame must never be
-    /// able to panic or corrupt a group member.
+    /// group, vectors of the wrong width — are silently dropped: a hostile
+    /// frame, or a corrupted one that slipped past the frame's CRC-32C
+    /// trailer (or was handed in without passing through
+    /// [`decode_pdu`]), must never be able to panic or corrupt a group
+    /// member.
     pub fn on_pdu(&mut self, from: ProcessId, pdu: Pdu) {
         if !self.status.is_active() || !self.pdu_is_well_formed(&pdu) {
             return;
@@ -341,7 +343,9 @@ impl Engine {
             }
             Pdu::Request(req) => self.handle_request(req),
             Pdu::Decision(d) => {
-                self.apply_decision(&d);
+                // Owned off the wire: adopting it moves the n-wide vectors
+                // in rather than copying them.
+                self.apply_decision_inner(Cow::Owned(d), None);
             }
             Pdu::RecoveryRq(rq) => self.handle_recovery_rq(from, rq),
             Pdu::RecoveryReply(rep) => self.handle_recovery_reply(rep),
@@ -562,7 +566,10 @@ impl Engine {
         let Pdu::Decision(decision) = &*pdu else {
             unreachable!("just built")
         };
-        self.apply_decision_inner(decision, if hint_ok { Some(&delta) } else { None });
+        self.apply_decision_inner(
+            Cow::Borrowed(decision),
+            if hint_ok { Some(&delta) } else { None },
+        );
     }
 
     // ------------------------------------------------------------------
@@ -708,13 +715,18 @@ impl Engine {
     /// whether it was adopted. Takes a reference and clones only on
     /// adoption, so the common stale/duplicate case copies nothing.
     fn apply_decision(&mut self, d: &Decision) -> bool {
-        self.apply_decision_inner(d, None)
+        self.apply_decision_inner(Cow::Borrowed(d), None)
     }
 
     /// [`Engine::apply_decision`] with an optional purge hint: the
     /// coordinator's accumulated [`StabilityDelta`], passed only when
-    /// `coordinator_decide` has proven it equivalent to `d.stable`.
-    fn apply_decision_inner(&mut self, d: &Decision, hint: Option<&StabilityDelta>) -> bool {
+    /// `coordinator_decide` has proven it equivalent to `d.stable`. An
+    /// owned `d` is moved in on adoption; a borrowed one is cloned.
+    fn apply_decision_inner(
+        &mut self,
+        d: Cow<'_, Decision>,
+        hint: Option<&StabilityDelta>,
+    ) -> bool {
         // "Newer" is judged against the last *applied* decision; before any
         // decision has been applied, even a subrun-0 decision supersedes
         // the synthetic genesis value the engine boots with. Carried
@@ -734,7 +746,7 @@ impl Engine {
 
         if !d.process_state[self.me.index()] {
             // The group has declared us crashed: commit suicide.
-            self.last_decision = d.clone();
+            self.last_decision = d.into_owned();
             self.transition(ProcessStatus::Suicided, StatusReason::DeclaredCrashed);
             return true;
         }
@@ -774,7 +786,7 @@ impl Engine {
                     .push_back(Output::Discarded { mids: doomed_all });
             }
         }
-        self.last_decision = d.clone();
+        self.last_decision = d.into_owned();
         true
     }
 

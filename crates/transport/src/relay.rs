@@ -10,7 +10,7 @@
 //! re-parenting after a crash can deliver the same broadcast along two
 //! paths.
 //!
-//! The envelope header carries its own FNV-1a checksum so a corrupted
+//! The envelope header carries its own CRC-32C checksum so a corrupted
 //! header degenerates to an omission instead of mis-routing the frame; the
 //! inner frame keeps its own integrity trailer and is verified only at
 //! delivery, never per hop.
@@ -18,7 +18,7 @@
 use std::collections::BTreeSet;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use urcgc_types::{fnv1a_32, ProcessId};
+use urcgc_types::{crc32c, ProcessId};
 
 /// First byte of every relay envelope. Distinct from the engine PDU tags
 /// (1–7) and the t-service frame tags (`0xD1`/`0xA1`/`0xB7`) so a relay
@@ -28,9 +28,9 @@ pub const RELAY_TAG: u8 = 0xE7;
 /// Encoded envelope header size: tag + origin + seq + header checksum.
 pub const RELAY_HEADER_LEN: usize = 1 + 2 + 8 + 4;
 
-/// FNV-1a over the envelope header (tag, origin, seq).
+/// CRC-32C over the envelope header (tag, origin, seq).
 fn header_checksum(header: &[u8]) -> u32 {
-    fnv1a_32(header)
+    crc32c(header)
 }
 
 /// A decoded relay envelope: routing header plus the untouched inner frame.

@@ -10,14 +10,14 @@
 //! decode, never an engine step.
 //!
 //! Like the relay envelope in `urcgc-transport`, the header carries its own
-//! FNV-1a checksum so corruption of the routing bytes degenerates to an
+//! CRC-32C checksum so corruption of the routing bytes degenerates to an
 //! omission instead of delivering a frame to the wrong group; the inner
 //! frame keeps its own integrity trailer and is verified only by the
 //! destination group's decode.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
-use crate::fnv::fnv1a_32;
+use crate::crc::crc32c;
 use crate::id::GroupId;
 use crate::pdu::Pdu;
 use crate::wire::{encode_pdu_into, FrameCache, FRAME_TRAILER_LEN};
@@ -78,7 +78,7 @@ fn put_group_header(group: GroupId, buf: &mut BytesMut) {
     let start = buf.len();
     buf.put_u8(GROUP_TAG);
     buf.put_u32_le(group.0);
-    let sum = fnv1a_32(&buf[start..start + 5]);
+    let sum = crc32c(&buf[start..start + 5]);
     buf.put_u32_le(sum);
 }
 
@@ -109,7 +109,7 @@ pub fn group_of(frame: &[u8]) -> Result<GroupId, GroupEnvelopeError> {
         return Err(GroupEnvelopeError::BadTag(frame[0]));
     }
     let carried = u32::from_le_bytes(frame[5..9].try_into().expect("4 bytes"));
-    if carried != fnv1a_32(&frame[..5]) {
+    if carried != crc32c(&frame[..5]) {
         return Err(GroupEnvelopeError::BadChecksum);
     }
     let mut hdr = &frame[1..5];

@@ -25,6 +25,7 @@
 //! network.
 
 pub mod config;
+pub mod crc;
 pub mod decision;
 pub mod error;
 pub mod fnv;
@@ -35,9 +36,10 @@ pub mod view;
 pub mod wire;
 
 pub use config::{CausalityMode, ConfigError, ProtocolConfig, ProtocolConfigBuilder};
+pub use crc::crc32c;
 pub use decision::{Decision, MaxProcessed};
 pub use error::WireError;
-pub use fnv::{fnv1a_32, fnv1a_64, Fnv32, Fnv64};
+pub use fnv::{fnv1a_64, Fnv64};
 pub use group::{
     decode_group, encode_group, group_of, is_group_frame, GroupEnvelopeError, GroupFrame,
     GROUP_HEADER_LEN, GROUP_TAG,

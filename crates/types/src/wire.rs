@@ -33,18 +33,43 @@ pub trait WireEncode {
     fn encode(&self, buf: &mut BytesMut);
     /// Exact number of bytes [`WireEncode::encode`] will append.
     fn encoded_len(&self) -> usize;
+    /// Appends the encodings of `items` back to back — the body of a
+    /// `Vec<Self>` after its length prefix. The default encodes element by
+    /// element; fixed-width types override it with one resize and one
+    /// tight loop, producing the same bytes.
+    fn encode_slice(items: &[Self], buf: &mut BytesMut)
+    where
+        Self: Sized,
+    {
+        for item in items {
+            item.encode(buf);
+        }
+    }
 }
 
 /// Types that can deserialize themselves from a buffer.
 pub trait WireDecode: Sized {
     /// Consumes the encoding of `Self` from the front of `buf`.
     fn decode(buf: &mut Bytes) -> Result<Self, WireError>;
+    /// Consumes `len` back-to-back encodings — the body of a `Vec<Self>`
+    /// whose length prefix has been read and bounded. The default decodes
+    /// element by element, reserving no more elements than `buf` has bytes
+    /// left, so a forged length cannot make it allocate ahead of the
+    /// input. Fixed-width types override it to check the whole body's
+    /// length first and decode it in one tight loop.
+    fn decode_vec(buf: &mut Bytes, len: usize) -> Result<Vec<Self>, WireError> {
+        let mut out = Vec::with_capacity(len.min(buf.remaining()));
+        for _ in 0..len {
+            out.push(Self::decode(buf)?);
+        }
+        Ok(out)
+    }
 }
 
 /// Bytes the frame trailer adds on top of [`WireEncode::encoded_len`].
 pub const FRAME_TRAILER_LEN: usize = 4;
 
-/// FNV-1a over the frame body — the integrity trailer.
+/// CRC-32C over the frame body — the integrity trailer.
 ///
 /// Under the paper's **general omission** failure model a packet is either
 /// delivered intact or lost; real datagram stacks enforce this with
@@ -52,9 +77,11 @@ pub const FRAME_TRAILER_LEN: usize = 4;
 /// can *forge protocol state* — e.g. inflate a request's `last_processed`
 /// entry so the whole group chases a phantom recovery target until every
 /// member exhausts its `R` budget. The trailer turns corruption back into
-/// the omission the model expects.
+/// the omission the model expects. CRC-32C (see [`crate::crc`]) detects
+/// every error of up to three bits and every burst of up to 32 bits at any
+/// frame size urcgc sends.
 fn frame_checksum(body: &[u8]) -> u32 {
-    crate::fnv::fnv1a_32(body)
+    crate::crc::crc32c(body)
 }
 
 /// Appends the framed encoding of `pdu` (body + checksum trailer) to `buf`.
@@ -170,6 +197,30 @@ fn need(buf: &Bytes, n: usize, context: &'static str) -> Result<(), WireError> {
     }
 }
 
+/// Bulk body of a `Vec` of `W`-byte elements: one resize, then one loop
+/// writing each element's bytes into its slot.
+fn put_fixed<T, const W: usize>(items: &[T], buf: &mut BytesMut, to_bytes: impl Fn(&T) -> [u8; W]) {
+    let start = buf.len();
+    buf.resize(start + W * items.len(), 0);
+    let (slots, _) = buf[start..].as_chunks_mut::<W>();
+    for (slot, item) in slots.iter_mut().zip(items) {
+        *slot = to_bytes(item);
+    }
+}
+
+/// The `W`-byte element slots of a `len`-element `Vec` body, checked to be
+/// present before anything is allocated. The caller advances `buf` past
+/// them once it has read them.
+fn fixed_slots<'a, const W: usize>(
+    buf: &'a Bytes,
+    len: usize,
+    context: &'static str,
+) -> Result<&'a [[u8; W]], WireError> {
+    let body = W.saturating_mul(len);
+    need(buf, body, context)?;
+    Ok(buf[..body].as_chunks::<W>().0)
+}
+
 macro_rules! impl_wire_uint {
     ($ty:ty, $put:ident, $get:ident, $ctx:literal) => {
         impl WireEncode for $ty {
@@ -179,11 +230,23 @@ macro_rules! impl_wire_uint {
             fn encoded_len(&self) -> usize {
                 core::mem::size_of::<$ty>()
             }
+            fn encode_slice(items: &[$ty], buf: &mut BytesMut) {
+                put_fixed(items, buf, |v| v.to_le_bytes());
+            }
         }
         impl WireDecode for $ty {
             fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
                 need(buf, core::mem::size_of::<$ty>(), $ctx)?;
                 Ok(buf.$get())
+            }
+            fn decode_vec(buf: &mut Bytes, len: usize) -> Result<Vec<$ty>, WireError> {
+                const W: usize = core::mem::size_of::<$ty>();
+                let out = fixed_slots::<W>(buf, len, $ctx)?
+                    .iter()
+                    .map(|slot| <$ty>::from_le_bytes(*slot))
+                    .collect();
+                buf.advance(W * len);
+                Ok(out)
             }
         }
     };
@@ -201,6 +264,9 @@ impl WireEncode for bool {
     fn encoded_len(&self) -> usize {
         1
     }
+    fn encode_slice(items: &[bool], buf: &mut BytesMut) {
+        put_fixed(items, buf, |&b| [b as u8]);
+    }
 }
 
 impl WireDecode for bool {
@@ -210,6 +276,15 @@ impl WireDecode for bool {
             1 => Ok(true),
             value => Err(WireError::BadBool { value }),
         }
+    }
+    fn decode_vec(buf: &mut Bytes, len: usize) -> Result<Vec<bool>, WireError> {
+        let slots = fixed_slots::<1>(buf, len, "bool")?;
+        if let Some(&[value]) = slots.iter().find(|&&[b]| b > 1) {
+            return Err(WireError::BadBool { value });
+        }
+        let out = slots.iter().map(|&[b]| b == 1).collect();
+        buf.advance(len);
+        Ok(out)
     }
 }
 
@@ -280,9 +355,7 @@ impl WireDecode for Subrun {
 impl<T: WireEncode> WireEncode for Vec<T> {
     fn encode(&self, buf: &mut BytesMut) {
         (self.len() as u32).encode(buf);
-        for item in self {
-            item.encode(buf);
-        }
+        T::encode_slice(self, buf);
     }
     fn encoded_len(&self) -> usize {
         4 + self.iter().map(WireEncode::encoded_len).sum::<usize>()
@@ -299,11 +372,7 @@ impl<T: WireDecode> WireDecode for Vec<T> {
                 max: MAX_VEC_LEN,
             });
         }
-        let mut out = Vec::with_capacity(len as usize);
-        for _ in 0..len {
-            out.push(T::decode(buf)?);
-        }
-        Ok(out)
+        T::decode_vec(buf, len as usize)
     }
 }
 
@@ -355,6 +424,14 @@ impl WireEncode for MaxProcessed {
     fn encoded_len(&self) -> usize {
         2 + 8
     }
+    fn encode_slice(items: &[MaxProcessed], buf: &mut BytesMut) {
+        put_fixed(items, buf, |m| {
+            let mut slot = [0u8; 10];
+            slot[..2].copy_from_slice(&m.holder.0.to_le_bytes());
+            slot[2..].copy_from_slice(&m.seq.to_le_bytes());
+            slot
+        });
+    }
 }
 
 impl WireDecode for MaxProcessed {
@@ -363,6 +440,17 @@ impl WireDecode for MaxProcessed {
             holder: ProcessId::decode(buf)?,
             seq: u64::decode(buf)?,
         })
+    }
+    fn decode_vec(buf: &mut Bytes, len: usize) -> Result<Vec<MaxProcessed>, WireError> {
+        let out = fixed_slots::<10>(buf, len, "MaxProcessed")?
+            .iter()
+            .map(|&[h0, h1, ref seq @ ..]| MaxProcessed {
+                holder: ProcessId(u16::from_le_bytes([h0, h1])),
+                seq: u64::from_le_bytes(*seq),
+            })
+            .collect();
+        buf.advance(10 * len);
+        Ok(out)
     }
 }
 
@@ -960,11 +1048,27 @@ mod tests {
 
     #[test]
     fn truncated_frame_is_rejected() {
-        let full = encode_pdu(&Pdu::Decision(sample_decision(4)));
-        for cut in 0..full.len() {
-            let mut part = full.clone();
-            part.truncate(cut);
-            assert!(decode_pdu(&part).is_err(), "truncation at {cut} accepted");
+        let request = Pdu::Request(RequestMsg {
+            sender: ProcessId(2),
+            subrun: Subrun(5),
+            last_processed: vec![1; 100],
+            waiting: vec![NO_SEQ; 100],
+            prev_decision: sample_decision(100),
+            forwarded: true,
+        });
+        for pdu in [Pdu::Decision(sample_decision(4)), request] {
+            let full = encode_pdu(&pdu);
+            let body_len = full.len() - FRAME_TRAILER_LEN;
+            for cut in 0..full.len() {
+                let mut part = full.clone();
+                part.truncate(cut);
+                assert!(decode_pdu(&part).is_err(), "truncation at {cut} accepted");
+                // Re-sealed, so the decoder itself meets the short body.
+                if cut < body_len {
+                    let sealed = seal(&full[..cut]);
+                    assert!(decode_pdu(&sealed).is_err(), "body cut at {cut} accepted");
+                }
+            }
         }
     }
 
@@ -1005,14 +1109,18 @@ mod tests {
     fn bad_bool_is_rejected() {
         let mut good = BytesMut::new();
         Pdu::Decision(sample_decision(3)).encode(&mut good);
-        let mut raw = good.to_vec();
-        // full_group is the byte right after tag(1) + subrun(8) + coord(2).
-        // Re-seal so the structural check (not the checksum) is under test.
-        raw[11] = 7;
-        assert!(matches!(
-            decode_pdu(&seal(&raw)),
-            Err(WireError::BadBool { value: 7 })
-        ));
+        // full_group (a scalar bool) is the byte right after tag(1) +
+        // subrun(8) + coord(2). The second process_state entry (decoded in
+        // bulk) follows stable (4 + 8n), attempts (4 + 4n) and its own
+        // length prefix. Re-seal so the structural check (not the checksum)
+        // is under test.
+        let second_state = 12 + (4 + 8 * 3) + (4 + 4 * 3) + 4 + 1;
+        assert_eq!(good[second_state], 0, "sample_decision(3) marks p1 dead");
+        for (at, value) in [(11, 7), (second_state, 2)] {
+            let mut raw = good.to_vec();
+            raw[at] = value;
+            assert_eq!(decode_pdu(&seal(&raw)), Err(WireError::BadBool { value }));
+        }
     }
 
     #[test]
