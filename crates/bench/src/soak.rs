@@ -11,48 +11,36 @@
 //! rather than a permanently blocked buffer.
 //!
 //! Memory discipline: every per-message probe is disabled. The urcgc side
-//! runs [`SoakUrcgcNode`] (counters and peak gauges only — no delivery
-//! log, no per-mid maps, no per-round series); the baselines run with
-//! [`Load::unprobed`]; and the simulator's byte timeline runs in windowed
-//! mode ([`SimOptions::bytes_window`]), so resident state stays O(n + W)
-//! no matter how many rounds the soak executes. Progress streams out one
-//! line per window.
+//! runs the simulator's own [`UrcgcNode`] with a `SoakProbe` (counters
+//! and peak gauges only — no delivery log, no per-mid maps, no per-round
+//! series); the baselines run with [`Load::unprobed`]; and the
+//! simulator's byte timeline runs in windowed mode
+//! ([`SimOptions::bytes_window`]), so resident state stays O(n + W) no
+//! matter how many rounds the soak executes. Progress streams out one line
+//! per window.
 
 use std::time::Instant;
 
-use bytes::Bytes;
-use rand::Rng;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
-use urcgc::sim::{DepPolicy, Workload};
-use urcgc::{Engine, Output, ProtocolConfig};
+use urcgc::sim::{Probe, UrcgcNode, Workload};
+use urcgc::{DataMsg, Engine, ProtocolConfig};
 use urcgc_baselines::cbcast::Load;
 use urcgc_baselines::{CbcastNode, PsyncNode};
 use urcgc_metrics::Json;
-use urcgc_overlay::{is_relay_frame, Disseminator, OverlayConfig, RelayDisposition};
-use urcgc_simnet::{FaultPlan, NetCtx, Node, SimNet, SimOptions};
-use urcgc_types::{FrameCache, Mid, ProcessId, Round};
+use urcgc_overlay::OverlayConfig;
+use urcgc_simnet::{FaultPlan, Node, SimNet, SimOptions};
+use urcgc_types::{ProcessId, Round};
 
-/// A urcgc group member stripped to soak essentials: the real [`Engine`]
-/// plus counters. Mirrors `urcgc::sim::UrcgcNode` (same workload RNG
-/// stream, same quiescence rule) minus every per-message probe map.
-pub struct SoakUrcgcNode {
-    engine: Engine,
-    workload: Workload,
-    rng: ChaCha8Rng,
-    submitted: u64,
+/// The soak's [`Probe`]: counters and peak gauges only — no per-mid maps,
+/// no delivery log, no per-round series — so a soak member's resident
+/// state stays O(1) however many messages it processes.
+#[derive(Default)]
+struct SoakProbe {
+    /// Application messages processed here.
     delivered: u64,
-    discarded: u64,
-    undecodable: u64,
-    latest_foreign: Option<Mid>,
+    /// Peak history table length observed.
     peak_history: usize,
+    /// Peak waiting-list length observed.
     peak_waiting: usize,
-    /// Reused encode arena: one allocation per outgoing frame, shared
-    /// across every destination of a broadcast.
-    frames: FrameCache,
-    /// Overlay disseminator, when this soak routes `data`/`decision`
-    /// broadcasts hop-by-hop instead of by direct n-unicast.
-    overlay: Option<Disseminator>,
     /// Logical broadcasts this node originated (data + decision PDUs).
     broadcasts: u64,
     /// Wire copies those broadcasts cost at the origin: n−1 each under
@@ -61,209 +49,23 @@ pub struct SoakUrcgcNode {
     broadcast_copies: u64,
 }
 
-impl SoakUrcgcNode {
-    /// Builds the node for process `me` (same per-node seed derivation as
-    /// the probed harness, so workloads are comparable run to run).
-    pub fn new(me: ProcessId, cfg: ProtocolConfig, workload: Workload, seed: u64) -> Self {
-        SoakUrcgcNode {
-            engine: Engine::new(me, cfg),
-            workload,
-            rng: ChaCha8Rng::seed_from_u64(
-                seed ^ (0x9E37_79B9_7F4A_7C15u64).wrapping_mul(me.0 as u64 + 1),
-            ),
-            submitted: 0,
-            delivered: 0,
-            discarded: 0,
-            undecodable: 0,
-            latest_foreign: None,
-            peak_history: 0,
-            peak_waiting: 0,
-            frames: FrameCache::new(),
-            overlay: None,
-            broadcasts: 0,
-            broadcast_copies: 0,
-        }
+impl Probe for SoakProbe {
+    fn delivered(&mut self, _msg: &DataMsg, _round: Round) {
+        self.delivered += 1;
     }
 
-    /// Routes this node's `data`/`decision` broadcasts over the overlay
-    /// (control traffic stays direct) — same semantics as
-    /// `urcgc::sim::UrcgcNode::with_overlay`. Every group member must be
-    /// given the same config.
-    pub fn with_overlay(mut self, cfg: OverlayConfig) -> Self {
-        let n = self.engine.config().n;
-        self.overlay = Some(Disseminator::new(self.engine.me(), n, cfg));
-        self
+    fn broadcast_copies(&mut self, copies: u64) {
+        self.broadcasts += 1;
+        self.broadcast_copies += copies;
     }
 
-    /// Application messages processed here.
-    pub fn delivered(&self) -> u64 {
-        self.delivered
-    }
-
-    /// Messages this node generated.
-    pub fn submitted(&self) -> u64 {
-        self.submitted
-    }
-
-    /// Peak history table length observed.
-    pub fn peak_history(&self) -> usize {
-        self.peak_history
-    }
-
-    /// Current history residency: (live segments, payload bytes, purge
-    /// lag in messages). Sampled by the soak loop at window boundaries.
-    pub fn residency(&self) -> (usize, usize, u64) {
-        let g = self.engine.gauges();
-        (g.history_segments, g.history_bytes, g.purge_lag)
-    }
-
-    /// Peak waiting-list length observed.
-    pub fn peak_waiting(&self) -> usize {
-        self.peak_waiting
-    }
-
-    /// Orphan-destruction victims plus undecodable frames seen here.
-    pub fn losses(&self) -> u64 {
-        self.discarded + self.undecodable
-    }
-
-    /// (logical broadcasts originated, wire copies they cost at this
-    /// origin) — the per-process fan-out gauge.
-    pub fn fanout(&self) -> (u64, u64) {
-        (self.broadcasts, self.broadcast_copies)
-    }
-
-    /// Whole budget generated, no backlog, no known gap (same rule as the
-    /// probed harness node).
-    fn is_quiescent(&self) -> bool {
-        if !self.engine.status().is_active() {
-            return true;
-        }
-        if self.submitted < self.workload.total || !self.engine.gauges().is_drained() {
-            return false;
-        }
-        let d = self.engine.last_decision();
-        (0..d.n()).all(|q| {
-            let p = ProcessId::from_index(q);
-            d.max_processed[q].seq <= self.engine.last_processed(p)
-                || !self.engine.view().is_alive(d.max_processed[q].holder)
-                || d.max_processed[q].holder == self.engine.me()
-        })
-    }
-
-    fn maybe_generate(&mut self) {
-        if !self.engine.status().is_active() || self.submitted >= self.workload.total {
-            return;
-        }
-        if self.workload.gen_prob < 1.0 && !self.rng.gen_bool(self.workload.gen_prob) {
-            return;
-        }
-        let deps: Vec<Mid> = match self.workload.deps {
-            DepPolicy::OwnChain => vec![],
-            DepPolicy::LatestForeign => self.latest_foreign.into_iter().collect(),
-        };
-        let payload = Bytes::from(vec![0u8; self.workload.payload_size]);
-        if self.engine.submit(payload, &deps).is_ok() {
-            self.submitted += 1;
-        }
-    }
-
-    fn flush(&mut self, net: &mut NetCtx<'_>) {
-        let me = self.engine.me();
-        while let Some(out) = self.engine.poll_output() {
-            match out {
-                Output::Send { to, pdu } => {
-                    net.send(to, pdu.kind().label(), self.frames.encode(&pdu));
-                }
-                Output::Broadcast { pdu } => {
-                    let kind = pdu.kind().label();
-                    let inner = self.frames.encode(&pdu);
-                    self.broadcasts += 1;
-                    match self.overlay.as_mut() {
-                        Some(ov) => {
-                            ov.sync_view(self.engine.view().flags());
-                            let (envelope, targets) = ov.broadcast(&inner);
-                            self.broadcast_copies += targets.len() as u64;
-                            for (i, to) in targets.into_iter().enumerate() {
-                                if i == 0 {
-                                    net.send(to, kind, envelope.clone());
-                                } else {
-                                    net.send_shared(to, kind, envelope.clone());
-                                }
-                            }
-                        }
-                        None => {
-                            self.broadcast_copies += self.engine.config().n as u64 - 1;
-                            net.broadcast(kind, inner);
-                        }
-                    }
-                }
-                Output::Deliver { msg } => {
-                    self.delivered += 1;
-                    if msg.mid.origin != me {
-                        self.latest_foreign = Some(msg.mid);
-                    }
-                }
-                Output::Confirm { .. } => {}
-                Output::Discarded { mids } => self.discarded += mids.len() as u64,
-                Output::StatusChanged { .. } => {}
-            }
-        }
-    }
-
-    /// Handles an arriving overlay envelope: dedup, forward to overlay
-    /// children, deliver the inner frame to the engine (mirrors
-    /// `urcgc::sim::UrcgcNode::on_relay_frame`).
-    fn on_relay_frame(&mut self, frame: &Bytes, net: &mut NetCtx<'_>) {
-        let disposition = {
-            let ov = self.overlay.as_mut().expect("relay frame without overlay");
-            ov.sync_view(self.engine.view().flags());
-            ov.on_frame(frame)
-        };
-        match disposition {
-            RelayDisposition::Deliver {
-                origin,
-                inner,
-                forward,
-                envelope,
-            } => {
-                for to in forward {
-                    net.send_relayed(to, "relay", envelope.clone());
-                }
-                if self.engine.on_frame(origin, &inner).is_err() {
-                    self.undecodable += 1;
-                }
-            }
-            RelayDisposition::Duplicate => {}
-            RelayDisposition::Undecodable => self.undecodable += 1,
-        }
-    }
-}
-
-impl Node for SoakUrcgcNode {
-    fn on_round(&mut self, round: Round, net: &mut NetCtx<'_>) {
-        self.maybe_generate();
-        self.engine.begin_round(round);
-        self.flush(net);
+    fn on_round(&mut self, _round: Round, engine: &Engine) {
         // stats() refreshes the two peak gauges in O(1); gauges() would
         // also walk the per-origin purge-lag vector, which this per-round
         // hot path does not need.
-        let s = self.engine.stats();
+        let s = engine.stats();
         self.peak_history = self.peak_history.max(s.history_len);
         self.peak_waiting = self.peak_waiting.max(s.waiting);
-    }
-
-    fn on_frame(&mut self, from: ProcessId, frame: Bytes, net: &mut NetCtx<'_>) {
-        if self.overlay.is_some() && is_relay_frame(&frame) {
-            self.on_relay_frame(&frame, net);
-        } else if self.engine.on_frame(from, &frame).is_err() {
-            self.undecodable += 1;
-        }
-        self.flush(net);
-    }
-
-    fn is_done(&self) -> bool {
-        self.is_quiescent()
     }
 }
 
@@ -688,22 +490,37 @@ pub fn soak_cell(
 ) -> SoakReport {
     let max_rounds = msgs_per_proc * 8 + 4_000;
     match protocol {
-        SoakProtocol::Urcgc => {
-            let cfg = ProtocolConfig::new(n);
+        SoakProtocol::Urcgc | SoakProtocol::UrcgcOverlay => {
+            let overlay =
+                (protocol == SoakProtocol::UrcgcOverlay).then(|| overlay_soak_config(seed));
+            let (label, cfg) = match overlay {
+                None => ("urcgc", ProtocolConfig::new(n)),
+                // K is sized up for multi-hop dissemination: until a
+                // crashed relay is declared failed and the tree re-parents,
+                // a process downstream of the corpse can miss several
+                // consecutive decisions through no fault of its own
+                // (PROTOCOL.md §8).
+                Some(_) => ("urcgc+overlay", ProtocolConfig::new(n).with_k(6)),
+            };
             let workload = Workload::fixed_count(msgs_per_proc, 32);
-            let nodes: Vec<SoakUrcgcNode> = (0..n)
+            let nodes: Vec<UrcgcNode<SoakProbe>> = (0..n)
                 .map(|i| {
-                    SoakUrcgcNode::new(
+                    let node = UrcgcNode::with_probe(
                         ProcessId::from_index(i),
                         cfg.clone(),
                         workload.clone(),
                         seed,
-                    )
+                        SoakProbe::default(),
+                    );
+                    match &overlay {
+                        Some(ov) => node.with_overlay(ov.clone()),
+                        None => node,
+                    }
                 })
                 .collect();
             run_soak(
                 SoakSpec {
-                    protocol: "urcgc",
+                    protocol: label,
                     n,
                     msgs_per_proc,
                     seed,
@@ -713,47 +530,13 @@ pub fn soak_cell(
                 },
                 nodes,
                 soak_faults(n, msgs_per_proc),
-                |nd| nd.delivered(),
-                |nd| (nd.peak_history(), nd.peak_waiting()),
-                |nd| nd.residency(),
-                |nd| nd.fanout(),
-            )
-        }
-        SoakProtocol::UrcgcOverlay => {
-            // K is sized up for multi-hop dissemination: until a crashed
-            // relay is declared failed and the tree re-parents, a process
-            // downstream of the corpse can miss several consecutive
-            // decisions through no fault of its own (PROTOCOL.md §8).
-            let cfg = ProtocolConfig::new(n).with_k(6);
-            let overlay = overlay_soak_config(seed);
-            let workload = Workload::fixed_count(msgs_per_proc, 32);
-            let nodes: Vec<SoakUrcgcNode> = (0..n)
-                .map(|i| {
-                    SoakUrcgcNode::new(
-                        ProcessId::from_index(i),
-                        cfg.clone(),
-                        workload.clone(),
-                        seed,
-                    )
-                    .with_overlay(overlay.clone())
-                })
-                .collect();
-            run_soak(
-                SoakSpec {
-                    protocol: "urcgc+overlay",
-                    n,
-                    msgs_per_proc,
-                    seed,
-                    window,
-                    max_rounds,
-                    progress,
+                |nd| nd.probe().delivered,
+                |nd| (nd.probe().peak_history, nd.probe().peak_waiting),
+                |nd| {
+                    let g = nd.engine().gauges();
+                    (g.history_segments, g.history_bytes, g.purge_lag)
                 },
-                nodes,
-                soak_faults(n, msgs_per_proc),
-                |nd| nd.delivered(),
-                |nd| (nd.peak_history(), nd.peak_waiting()),
-                |nd| nd.residency(),
-                |nd| nd.fanout(),
+                |nd| (nd.probe().broadcasts, nd.probe().broadcast_copies),
             )
         }
         SoakProtocol::Cbcast => {
@@ -828,6 +611,8 @@ pub fn soak_psync(n: usize, msgs_per_proc: u64, seed: u64, window: u64) -> SoakR
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
+    use urcgc_simnet::NetCtx;
 
     #[test]
     fn urcgc_soak_smoke_completes_and_counts() {

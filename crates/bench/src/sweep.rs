@@ -5,7 +5,7 @@
 //! one seed; this module fans the same scenario across `R` replicate runs
 //! with deterministically derived seeds, spreads them over a scoped thread
 //! pool (`--jobs`), and aggregates each metric into
-//! [`Summary`](urcgc_metrics::Summary) statistics (mean / stddev / min /
+//! [`Summary`] statistics (mean / stddev / min /
 //! max / 95% CI).
 //!
 //! Determinism contract: replicate `i` of base seed `B` always runs with

@@ -16,7 +16,7 @@
 use std::collections::HashMap;
 
 use bytes::Bytes;
-use urcgc::sim::{DepPolicy, Workload};
+use urcgc::sim::{DepPolicy, Workload, SETTLE_ROUNDS};
 use urcgc::{Engine, Output};
 use urcgc_simnet::{FaultPlan, NetCtx, Node, SimNet, SimOptions};
 use urcgc_transport::{TOutput, TransportConfig, TransportEntity};
@@ -228,7 +228,7 @@ pub fn run_transported(
         };
         if complete {
             idle += 1;
-            if idle >= 8 {
+            if idle >= SETTLE_ROUNDS {
                 break;
             }
         } else {

@@ -6,7 +6,10 @@
 //! guarantee so any future scheduler change that perturbs either is caught
 //! in CI, not in a downstream figure. Two binaries cover the two run
 //! shapes: `fig4_delay` (urcgc + both baselines under omission faults) and
-//! `ablation_h` (recovery-depth sweep with crashes).
+//! `ablation_h` (recovery-depth sweep with crashes). Two soak cells, one
+//! direct and one over the overlay tree, pin the soak's counters-only
+//! member to the same engine calls, RNG draws and frames as the probed
+//! one.
 //!
 //! If a digest mismatch is *intended* (a deliberate protocol or experiment
 //! change), regenerate with the command printed in the failure message and
@@ -15,8 +18,10 @@
 //! on by default) changed recovery frame populations under crash plans;
 //! EXPERIMENTS.md records the before/after digests.
 
+use std::fmt::Write as _;
 use std::process::Command;
 
+use urcgc_bench::soak::{soak_cell, SoakProtocol, SoakReport};
 use urcgc_types::Fnv64;
 
 /// FNV-1a 64 over the document with every line containing `"wall_secs"`
@@ -71,6 +76,60 @@ fn ablation_h_document_is_bit_stable() {
         "ablation_h smoke document drifted; if intended, regenerate with \
          `ablation_h --max-rounds 60 --replicates 2 --jobs 2 --json out.json` \
          and pin the new digest ({digest:#x})"
+    );
+}
+
+/// Every deterministic field of a soak report, one per line: everything
+/// except `wall_secs` and the per-second rates derived from it. Unlike
+/// [`SoakReport::to_json`], the window trace and the per-process frame
+/// vectors are kept whole.
+fn soak_document(r: &SoakReport) -> String {
+    let mut doc = String::new();
+    let _ = writeln!(doc, "protocol {}", r.protocol);
+    let _ = writeln!(doc, "n {} msgs_per_proc {}", r.n, r.msgs_per_proc);
+    let _ = writeln!(doc, "rounds {} submitted {}", r.rounds, r.submitted);
+    let _ = writeln!(doc, "app_delivered {} frames {}", r.app_delivered, r.frames);
+    let _ = writeln!(
+        doc,
+        "wire_bytes {} encoded {} shared {} relayed {}",
+        r.wire_bytes, r.encoded_bytes, r.shared_bytes, r.relayed_bytes
+    );
+    let _ = writeln!(doc, "frames_sent {:?}", r.frames_sent);
+    let _ = writeln!(doc, "frames_relayed {:?}", r.frames_relayed);
+    let _ = writeln!(
+        doc,
+        "broadcasts {} worst_fanout {}",
+        r.broadcasts, r.worst_broadcast_fanout
+    );
+    let _ = writeln!(doc, "completed {} stalled {}", r.completed, r.stalled);
+    let _ = writeln!(
+        doc,
+        "peaks history {} waiting {} segments {} bytes {} purge_lag {}",
+        r.peak_history, r.peak_waiting, r.peak_segments, r.peak_history_bytes, r.max_purge_lag
+    );
+    for w in &r.windows {
+        let _ = writeln!(doc, "{w:?}");
+    }
+    doc
+}
+
+#[test]
+fn urcgc_soak_cell_is_bit_stable() {
+    let r = soak_cell(SoakProtocol::Urcgc, 10, 40, 7, 16, false);
+    let digest = normalized_digest(&soak_document(&r));
+    assert_eq!(
+        digest, 0x2f9a_f12c_14e6_7b72,
+        "urcgc soak cell drifted; if intended, pin the new digest ({digest:#x})"
+    );
+}
+
+#[test]
+fn overlay_soak_cell_is_bit_stable() {
+    let r = soak_cell(SoakProtocol::UrcgcOverlay, 20, 8, 7, 16, false);
+    let digest = normalized_digest(&soak_document(&r));
+    assert_eq!(
+        digest, 0x619d_b936_a85f_1627,
+        "urcgc+overlay soak cell drifted; if intended, pin the new digest ({digest:#x})"
     );
 }
 

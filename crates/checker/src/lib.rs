@@ -6,10 +6,10 @@
 //! interesting point of the fault space; this crate *searches* it. An
 //! exploration run repeatedly:
 //!
-//! 1. **generates** a random [`CheckSpec`](spec::CheckSpec) — a fault-plan
+//! 1. **generates** a random [`CheckSpec`] — a fault-plan
 //!    genome (crashes, omission rates, timed link cuts, targeted cuts
 //!    around coordinator handoffs) plus a delivery-schedule perturbation
-//!    ([`SchedSpec`](spec::SchedSpec), realized as a PCT-style
+//!    ([`SchedSpec`], realized as a PCT-style
 //!    [`Adversary`](urcgc_simnet::Adversary)) — all within the paper's
 //!    failure model, so the protocol's guarantees must hold;
 //! 2. **runs** it on the probed [`GroupHarness`](urcgc::sim::GroupHarness)
@@ -21,7 +21,7 @@
 //!    counterexample ([`shrink`]) and serializes it as a replayable
 //!    `urcgc-repro/1` JSON document ([`repro`]).
 //!
-//! The `checker` binary drives [`explore`] with a run budget, an optional
+//! The `checker` binary drives [`explore()`] with a run budget, an optional
 //! wall-clock budget, and `--jobs` fan-out over the sweep job pool, and
 //! emits a `urcgc-check/1` summary document.
 //!

@@ -1,7 +1,7 @@
 //! Executes one [`CheckSpec`] and returns every oracle violation it
 //! provokes.
 
-use urcgc::sim::{GroupHarness, Workload};
+use urcgc::sim::{GroupHarness, Workload, SETTLE_ROUNDS};
 
 use crate::oracle::{self, Violation};
 use crate::sched::ScheduleAdversary;
@@ -59,9 +59,7 @@ pub fn run_spec(spec: &CheckSpec) -> RunResult {
         }
         if h.net().all_done() {
             streak += 1;
-            // Same drain as GroupHarness::run_to_completion: two more
-            // decision subruns settle stability and gap detection.
-            if streak >= 8 {
+            if streak >= SETTLE_ROUNDS {
                 break;
             }
         } else {

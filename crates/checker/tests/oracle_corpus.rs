@@ -6,7 +6,7 @@
 //! oracle that fires here is unsound and would poison every checker
 //! verdict, so this corpus gates oracle changes in CI.
 
-use urcgc::sim::{GroupHarness, Workload};
+use urcgc::sim::{GroupHarness, Workload, SETTLE_ROUNDS};
 use urcgc_bench::soak::{baseline_soak_faults, soak_faults};
 use urcgc_check::oracle::{self, Violation};
 use urcgc_simnet::FaultPlan;
@@ -41,7 +41,7 @@ fn oracle_violations(
         }
         if h.net().all_done() {
             streak += 1;
-            if streak >= 8 {
+            if streak >= SETTLE_ROUNDS {
                 break;
             }
         } else {

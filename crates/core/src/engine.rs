@@ -191,6 +191,43 @@ impl Engine {
         }
     }
 
+    /// Whether this member owes nothing more to a finite workload of
+    /// `budget` messages, `submitted` of them generated so far: the whole
+    /// budget is generated, no backlog is held (nothing pending, nothing
+    /// waiting) and no *known gap* is open, i.e. the latest decision names
+    /// no live peer that has processed further than this member on any
+    /// sequence (such a gap means recovery is still owed). A member that
+    /// is no longer active has nothing left to do. The simulator's member
+    /// and the UDP cluster harnesses both stop on this, so in-model and
+    /// real-network runs terminate on the same condition.
+    pub fn workload_quiescent(&self, submitted: u64, budget: u64) -> bool {
+        if !self.status.is_active() {
+            return true;
+        }
+        submitted >= budget
+            && self.pending.is_empty()
+            && self.waiting.is_empty()
+            && (0..self.cfg.n).all(|q| self.recovery_gap(q).is_none())
+    }
+
+    /// The recovery owed on origin `q` (an index): the latest decision's
+    /// most-updated holder of `q`'s sequence, and what to ask it for, when
+    /// that holder is a live peer that has processed further than this
+    /// member has (Lemma 4.1's "learning the omission").
+    fn recovery_gap(&self, q: usize) -> Option<(ProcessId, RecoveryWant)> {
+        let hint = self.last_decision.max_processed[q];
+        let origin = ProcessId::from_index(q);
+        let lp = self.tracker.last_processed(origin);
+        (hint.seq > lp && hint.holder != self.me && self.view.is_alive(hint.holder)).then_some((
+            hint.holder,
+            RecoveryWant {
+                origin,
+                after_seq: lp,
+                upto_seq: hint.seq,
+            },
+        ))
+    }
+
     /// Highest contiguous sequence processed for origin `q`.
     pub fn last_processed(&self, q: ProcessId) -> u64 {
         self.tracker.last_processed(q)
@@ -877,32 +914,24 @@ impl Engine {
         // the per-holder want lists stay origin-sorted deterministically.
         let mut batches: Vec<(ProcessId, Vec<RecoveryWant>)> = Vec::new();
         for q in 0..self.cfg.n {
-            let q = ProcessId::from_index(q);
-            let maxp = self.last_decision.max_processed[q.index()];
-            let lp = self.tracker.last_processed(q);
-            if maxp.seq <= lp || maxp.holder == self.me || !self.view.is_alive(maxp.holder) {
+            let Some((holder, want)) = self.recovery_gap(q) else {
                 continue;
-            }
+            };
             self.stats.recovery_requests += 1;
             sent_any = true;
             if self.cfg.batched_recovery {
-                let want = RecoveryWant {
-                    origin: q,
-                    after_seq: lp,
-                    upto_seq: maxp.seq,
-                };
-                match batches.iter_mut().find(|(h, _)| *h == maxp.holder) {
+                match batches.iter_mut().find(|(h, _)| *h == holder) {
                     Some((_, wants)) => wants.push(want),
-                    None => batches.push((maxp.holder, vec![want])),
+                    None => batches.push((holder, vec![want])),
                 }
             } else {
                 self.outbox.push_back(Output::Send {
-                    to: maxp.holder,
+                    to: holder,
                     pdu: Box::new(Pdu::RecoveryRq(RecoveryRq {
                         requester: self.me,
-                        origin: q,
-                        after_seq: lp,
-                        upto_seq: maxp.seq,
+                        origin: want.origin,
+                        after_seq: want.after_seq,
+                        upto_seq: want.upto_seq,
                     })),
                 });
             }

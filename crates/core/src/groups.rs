@@ -32,6 +32,7 @@ use urcgc_types::{
 
 use crate::engine::Engine;
 use crate::output::Output;
+use crate::sim::SETTLE_ROUNDS;
 
 /// Parameters of a client-server (or diffusion) deployment.
 #[derive(Clone, Debug)]
@@ -541,7 +542,7 @@ pub fn run_client_server(
         rounds += 1;
         if net.all_done() {
             idle += 1;
-            if idle >= 8 {
+            if idle >= SETTLE_ROUNDS {
                 break;
             }
         } else {

@@ -193,18 +193,6 @@ impl Node {
         }
     }
 
-    /// Advances one hosted group to `round` (harnesses that stagger group
-    /// clocks, e.g. to spread coordinator load across rounds).
-    pub fn begin_group_round(&mut self, group: GroupId, round: Round) -> Result<(), NodeError> {
-        let engine = self
-            .groups
-            .get_mut(&group)
-            .ok_or(NodeError::UnknownGroup(group))?;
-        engine.begin_round(round);
-        self.dirty.push_back(group);
-        Ok(())
-    }
-
     /// Demultiplexes one received group-tagged frame from peer `from`.
     ///
     /// Returns the destination group when the frame was accepted by that

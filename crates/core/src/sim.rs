@@ -17,7 +17,7 @@ use rand_chacha::ChaCha8Rng;
 
 use urcgc_overlay::{Disseminator, OverlayConfig, RelayDisposition};
 use urcgc_simnet::{Adversary, FaultPlan, NetCtx, Node, RunOutcome, SimNet, SimOptions, SimStats};
-use urcgc_types::{FrameCache, Mid, ProcessId, ProtocolConfig, Round};
+use urcgc_types::{DataMsg, FrameCache, Mid, ProcessId, ProtocolConfig, Round};
 
 use crate::engine::Engine;
 use crate::output::{Output, ProcessStatus};
@@ -89,12 +89,30 @@ impl Workload {
     }
 }
 
-/// One simulated group member: engine + workload generator + probes.
-pub struct UrcgcNode {
-    engine: Engine,
-    workload: Workload,
-    rng: ChaCha8Rng,
-    submitted: u64,
+/// Observation hooks of a simulated member: what the harness records
+/// about a run without touching it. Probes only read — the member's engine
+/// calls, RNG draws and frames are the same whatever probe it carries.
+/// Every hook defaults to a no-op.
+pub trait Probe {
+    /// This member generated `mid` in `round`.
+    fn generated(&mut self, _mid: Mid, _round: Round) {}
+    /// This member processed `msg` in `round`.
+    fn delivered(&mut self, _msg: &DataMsg, _round: Round) {}
+    /// Orphan destruction removed `mids` here.
+    fn discarded(&mut self, _mids: &[Mid]) {}
+    /// One logical `data`/`decision` broadcast left this member as
+    /// `copies` first-hop wire copies (n−1 under direct n-unicast, at most
+    /// the degree under an overlay).
+    fn broadcast_copies(&mut self, _copies: u64) {}
+    /// End of this member's round, after its outputs were sent.
+    fn on_round(&mut self, _round: Round, _engine: &Engine) {}
+}
+
+/// The default [`Probe`] of [`GroupHarness`]: per-mid maps, the exact
+/// processing order, and per-round history/waiting series — everything
+/// [`GroupReport`] and the checker's oracles read.
+#[derive(Default)]
+pub struct RecordingProbe {
     /// mid → round at which *this* node processed it.
     deliveries: HashMap<Mid, Round>,
     /// Exact local processing order (the causal-order witness for tests).
@@ -103,14 +121,46 @@ pub struct UrcgcNode {
     deps_of: HashMap<Mid, Vec<Mid>>,
     /// mid → round at which this node *generated* it.
     generated: HashMap<Mid, Round>,
-    /// Most recently processed foreign message (for [`DepPolicy`]).
-    latest_foreign: Option<Mid>,
     /// Orphan-destruction victims observed here.
     discarded: Vec<Mid>,
     /// (round, history length) samples, one per round.
     history_series: Vec<(u64, usize)>,
     /// (round, waiting length) samples, one per round.
     waiting_series: Vec<(u64, usize)>,
+}
+
+impl Probe for RecordingProbe {
+    fn generated(&mut self, mid: Mid, round: Round) {
+        self.generated.insert(mid, round);
+    }
+
+    fn delivered(&mut self, msg: &DataMsg, round: Round) {
+        self.deliveries.insert(msg.mid, round);
+        self.delivery_log.push(msg.mid);
+        self.deps_of.insert(msg.mid, msg.deps.clone());
+    }
+
+    fn discarded(&mut self, mids: &[Mid]) {
+        self.discarded.extend_from_slice(mids);
+    }
+
+    fn on_round(&mut self, round: Round, engine: &Engine) {
+        let g = engine.gauges();
+        self.history_series.push((round.0, g.history_len));
+        self.waiting_series.push((round.0, g.waiting_len));
+    }
+}
+
+/// One simulated group member: engine + workload generator + probe `P`.
+/// The only simnet member for urcgc: the sweeps, the checker and the soak
+/// differ in the probe they give it, never in how it drives the engine.
+pub struct UrcgcNode<P = RecordingProbe> {
+    engine: Engine,
+    workload: Workload,
+    rng: ChaCha8Rng,
+    submitted: u64,
+    /// Most recently processed foreign message (for [`DepPolicy`]).
+    latest_foreign: Option<Mid>,
     /// Frames that failed to decode (corruption casualties).
     undecodable: u64,
     /// Reused encode arena: one allocation per outgoing frame, shared
@@ -119,11 +169,62 @@ pub struct UrcgcNode {
     /// Optional overlay relay layer. `None` (the default) keeps the
     /// paper's direct n-unicast broadcast path, bit for bit.
     overlay: Option<Disseminator>,
+    probe: P,
 }
 
 impl UrcgcNode {
-    /// Builds the node for process `me`.
+    /// Builds the node for process `me` with the [`RecordingProbe`].
     pub fn new(me: ProcessId, cfg: ProtocolConfig, workload: Workload, seed: u64) -> Self {
+        Self::with_probe(me, cfg, workload, seed, RecordingProbe::default())
+    }
+
+    /// Per-mid local processing rounds.
+    pub fn deliveries(&self) -> &HashMap<Mid, Round> {
+        &self.probe.deliveries
+    }
+
+    /// The exact order in which this node processed messages.
+    pub fn delivery_log(&self) -> &[Mid] {
+        &self.probe.delivery_log
+    }
+
+    /// The published dependency list of a message processed here.
+    pub fn deps_of(&self, mid: Mid) -> Option<&[Mid]> {
+        self.probe.deps_of.get(&mid).map(Vec::as_slice)
+    }
+
+    /// Per-mid generation rounds (own messages only).
+    pub fn generated(&self) -> &HashMap<Mid, Round> {
+        &self.probe.generated
+    }
+
+    /// Orphan-destruction victims observed by this node.
+    pub fn discarded(&self) -> &[Mid] {
+        &self.probe.discarded
+    }
+
+    /// Per-round history-length samples.
+    pub fn history_series(&self) -> &[(u64, usize)] {
+        &self.probe.history_series
+    }
+
+    /// Per-round waiting-list samples.
+    pub fn waiting_series(&self) -> &[(u64, usize)] {
+        &self.probe.waiting_series
+    }
+}
+
+impl<P: Probe> UrcgcNode<P> {
+    /// Builds the node for process `me`, observed by `probe`. The workload
+    /// RNG is seeded from `seed` and `me` alone, so every probe sees the
+    /// same run.
+    pub fn with_probe(
+        me: ProcessId,
+        cfg: ProtocolConfig,
+        workload: Workload,
+        seed: u64,
+        probe: P,
+    ) -> Self {
         UrcgcNode {
             engine: Engine::new(me, cfg),
             workload,
@@ -131,17 +232,11 @@ impl UrcgcNode {
                 seed ^ (0x9E37_79B9_7F4A_7C15u64).wrapping_mul(me.0 as u64 + 1),
             ),
             submitted: 0,
-            deliveries: HashMap::new(),
-            delivery_log: Vec::new(),
-            deps_of: HashMap::new(),
-            generated: HashMap::new(),
             latest_foreign: None,
-            discarded: Vec::new(),
-            history_series: Vec::new(),
-            waiting_series: Vec::new(),
             undecodable: 0,
             frames: FrameCache::new(),
             overlay: None,
+            probe,
         }
     }
 
@@ -164,44 +259,14 @@ impl UrcgcNode {
         &self.engine
     }
 
+    /// The probe observing this node.
+    pub fn probe(&self) -> &P {
+        &self.probe
+    }
+
     /// Messages this node has generated so far.
     pub fn submitted(&self) -> u64 {
         self.submitted
-    }
-
-    /// Per-mid local processing rounds.
-    pub fn deliveries(&self) -> &HashMap<Mid, Round> {
-        &self.deliveries
-    }
-
-    /// The exact order in which this node processed messages.
-    pub fn delivery_log(&self) -> &[Mid] {
-        &self.delivery_log
-    }
-
-    /// The published dependency list of a message processed here.
-    pub fn deps_of(&self, mid: Mid) -> Option<&[Mid]> {
-        self.deps_of.get(&mid).map(Vec::as_slice)
-    }
-
-    /// Per-mid generation rounds (own messages only).
-    pub fn generated(&self) -> &HashMap<Mid, Round> {
-        &self.generated
-    }
-
-    /// Orphan-destruction victims observed by this node.
-    pub fn discarded(&self) -> &[Mid] {
-        &self.discarded
-    }
-
-    /// Per-round history-length samples.
-    pub fn history_series(&self) -> &[(u64, usize)] {
-        &self.history_series
-    }
-
-    /// Per-round waiting-list samples.
-    pub fn waiting_series(&self) -> &[(u64, usize)] {
-        &self.waiting_series
     }
 
     /// Frames dropped because they failed to decode (corruption).
@@ -209,24 +274,11 @@ impl UrcgcNode {
         self.undecodable
     }
 
-    /// Whether the node has generated its whole budget and holds no
-    /// backlog — including no *known gap*: the latest decision must not
-    /// name any process that has processed further than this node has
-    /// (such a gap means recovery is still owed).
+    /// Whether the node has generated its whole budget and owes nothing
+    /// more ([`Engine::workload_quiescent`]).
     pub fn is_quiescent(&self) -> bool {
-        if !self.engine.status().is_active() {
-            return true;
-        }
-        if self.submitted < self.workload.total || !self.engine.gauges().is_drained() {
-            return false;
-        }
-        let d = self.engine.last_decision();
-        (0..d.n()).all(|q| {
-            let p = ProcessId::from_index(q);
-            d.max_processed[q].seq <= self.engine.last_processed(p)
-                || !self.engine.view().is_alive(d.max_processed[q].holder)
-                || d.max_processed[q].holder == self.engine.me()
-        })
+        self.engine
+            .workload_quiescent(self.submitted, self.workload.total)
     }
 
     fn maybe_generate(&mut self, round: Round) {
@@ -241,16 +293,13 @@ impl UrcgcNode {
             DepPolicy::LatestForeign => self.latest_foreign.into_iter().collect(),
         };
         let payload = Bytes::from(vec![0u8; self.workload.payload_size]);
-        match self.engine.submit(payload, &deps) {
-            Ok(mid) => {
-                self.submitted += 1;
-                self.generated.insert(mid, round);
-            }
-            Err(_) => { /* entity no longer active */ }
+        if let Ok(mid) = self.engine.submit(payload, &deps) {
+            self.submitted += 1;
+            self.probe.generated(mid, round);
         }
     }
 
-    /// Drains engine effects into the network and the probes.
+    /// Drains engine effects into the network and the probe.
     fn flush(&mut self, net: &mut NetCtx<'_>) {
         let me = self.engine.me();
         while let Some(out) = self.engine.poll_output() {
@@ -265,6 +314,7 @@ impl UrcgcNode {
                         Some(ov) => {
                             ov.sync_view(self.engine.view().flags());
                             let (envelope, targets) = ov.broadcast(&inner);
+                            self.probe.broadcast_copies(targets.len() as u64);
                             for (i, to) in targets.into_iter().enumerate() {
                                 if i == 0 {
                                     net.send(to, kind, envelope.clone());
@@ -273,19 +323,21 @@ impl UrcgcNode {
                                 }
                             }
                         }
-                        None => net.broadcast(kind, inner),
+                        None => {
+                            self.probe
+                                .broadcast_copies(self.engine.config().n as u64 - 1);
+                            net.broadcast(kind, inner);
+                        }
                     }
                 }
                 Output::Deliver { msg } => {
-                    self.deliveries.insert(msg.mid, net.round());
-                    self.delivery_log.push(msg.mid);
-                    self.deps_of.insert(msg.mid, msg.deps.clone());
+                    self.probe.delivered(&msg, net.round());
                     if msg.mid.origin != me {
                         self.latest_foreign = Some(msg.mid);
                     }
                 }
                 Output::Confirm { .. } => {}
-                Output::Discarded { mids } => self.discarded.extend(mids),
+                Output::Discarded { mids } => self.probe.discarded(&mids),
                 Output::StatusChanged { .. } => {}
             }
         }
@@ -319,14 +371,12 @@ impl UrcgcNode {
     }
 }
 
-impl Node for UrcgcNode {
+impl<P: Probe> Node for UrcgcNode<P> {
     fn on_round(&mut self, round: Round, net: &mut NetCtx<'_>) {
         self.maybe_generate(round);
         self.engine.begin_round(round);
         self.flush(net);
-        let g = self.engine.gauges();
-        self.history_series.push((round.0, g.history_len));
-        self.waiting_series.push((round.0, g.waiting_len));
+        self.probe.on_round(round, &self.engine);
     }
 
     fn on_frame(&mut self, from: ProcessId, frame: Bytes, net: &mut NetCtx<'_>) {
@@ -345,6 +395,12 @@ impl Node for UrcgcNode {
         self.is_quiescent()
     }
 }
+
+/// Consecutive all-quiescent rounds a urcgc harness runs before it stops:
+/// long enough for in-flight frames and two more decision subruns to
+/// settle (stability, cleaning and gap detection lag behind the last data
+/// message by up to a subrun each).
+pub const SETTLE_ROUNDS: u64 = 8;
 
 /// Builder for [`GroupHarness`].
 pub struct GroupHarnessBuilder {
@@ -461,8 +517,8 @@ impl GroupHarness {
     }
 
     /// Runs until every surviving node is quiescent (budget generated, no
-    /// waiting backlog) — plus a short drain so in-flight frames settle —
-    /// or until `max_rounds`. Returns the collected report.
+    /// waiting backlog) for [`SETTLE_ROUNDS`] rounds in a row, or until
+    /// `max_rounds`. Returns the collected report.
     pub fn run_to_completion(&mut self, max_rounds: u64) -> GroupReport {
         let mut quiescent_streak = 0u64;
         let mut rounds = 0u64;
@@ -471,10 +527,7 @@ impl GroupHarness {
             rounds += 1;
             if self.net.all_done() {
                 quiescent_streak += 1;
-                // Let in-flight frames and two more decision subruns settle
-                // (stability, cleaning and gap detection lag behind the
-                // last data message by up to a subrun each).
-                if quiescent_streak >= 8 {
+                if quiescent_streak >= SETTLE_ROUNDS {
                     break;
                 }
             } else {
@@ -676,15 +729,6 @@ impl GroupReport {
             .map(|&(_, l)| l)
             .max()
             .unwrap_or(0)
-    }
-
-    /// The history-length series of one process, in (rtd, len) form,
-    /// averaged over each subrun for plotting.
-    pub fn history_series_rtd(&self, p: ProcessId) -> Vec<(f64, f64)> {
-        self.history_series[p.index()]
-            .iter()
-            .map(|&(r, l)| (urcgc_simnet::rounds_to_rtd(r), l as f64))
-            .collect()
     }
 }
 

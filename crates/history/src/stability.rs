@@ -256,13 +256,6 @@ impl StabilityMatrix {
         })
     }
 
-    /// Whether `p` has contributed this subrun.
-    pub fn has_contribution(&self, p: ProcessId) -> bool {
-        self.contributions
-            .get(p.index())
-            .is_some_and(Option::is_some)
-    }
-
     /// Number of contributors so far.
     pub fn contributor_count(&self) -> usize {
         self.contributions.iter().flatten().count()

@@ -1,7 +1,7 @@
 //! The [`Disseminator`]: the hop-by-hop relay layer between the engine and
 //! the transport.
 //!
-//! The engine keeps emitting *logical* broadcasts ([`Output::Broadcast`]
+//! The engine keeps emitting *logical* broadcasts (`Output::Broadcast`
 //! upstream); the disseminator expands each one into an enveloped send to
 //! the process's O(degree) overlay children instead of n−1 unicasts, and
 //! turns every received envelope into (at most) one local delivery plus an

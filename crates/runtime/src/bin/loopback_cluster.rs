@@ -45,8 +45,8 @@ use bytes::Bytes;
 use urcgc_check::{check_cluster, NodeObservation};
 use urcgc_metrics::Json;
 use urcgc_runtime::{
-    check_delivery_log, order_digests, spawn_member_on, workload_quiescent, AppEvent,
-    ClusterReport, LossyProxy, NodeOptions, NodeReport, ProxyOptions,
+    check_delivery_log, order_digests, spawn_member_on, AppEvent, ClusterReport, LossyProxy,
+    NodeOptions, NodeReport, ProxyOptions,
 };
 use urcgc_types::{Mid, ProcessId, ProtocolConfig};
 
@@ -256,7 +256,7 @@ fn run_node(args: Args) -> ExitCode {
         if last_probe.elapsed() >= Duration::from_millis(50) {
             last_probe = Instant::now();
             quiesced = handle
-                .with_engine(move |e| workload_quiescent(e, submitted, budget))
+                .with_engine(move |e| e.workload_quiescent(submitted, budget))
                 .unwrap_or(quiesced);
             if quiesced && !announced {
                 announced = true;
@@ -274,7 +274,7 @@ fn run_node(args: Args) -> ExitCode {
         None => ("Gone".to_string(), vec![0; args.n]),
     };
     quiesced = handle
-        .with_engine(move |e| workload_quiescent(e, submitted, budget))
+        .with_engine(move |e| e.workload_quiescent(submitted, budget))
         .unwrap_or(quiesced);
     let mids: Vec<Mid> = log.iter().map(|(m, _)| *m).collect();
     let (ordering_ok, ordering_detail) = check_delivery_log(&log);

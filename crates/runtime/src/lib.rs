@@ -65,8 +65,8 @@ pub mod report;
 pub use frag::{Fragmenter, Reassembler};
 pub use group::UdpGroup;
 pub use node::{
-    spawn_member, spawn_member_on, workload_quiescent, AppEvent, GroupError, GroupShutdown,
-    NetStats, NodeOptions, ProcessHandle,
+    spawn_member, spawn_member_on, AppEvent, GroupError, GroupShutdown, NetStats, NodeOptions,
+    ProcessHandle,
 };
 pub use proxy::{LossyProxy, ProxyOptions, ProxyStats};
 pub use report::{check_delivery_log, order_digests, ClusterReport, NodeReport};

@@ -18,7 +18,7 @@
 //!   datagram (counted): backpressure on a real network is loss, and the
 //!   protocol's recovery machinery already handles loss.
 //! * The **ticker** thread replaces the simulator's round clock: one
-//!   [`Event::Tick`] per `round_duration`, with burst catch-up after
+//!   `Event::Tick` per `round_duration`, with burst catch-up after
 //!   stalls ([`RoundPacer`]).
 //! * The **driver** thread is the only one touching the [`Engine`]. It is
 //!   a plain event loop: tick → `begin_round`; datagram → reassemble →
@@ -517,27 +517,6 @@ pub fn spawn_member(
 ) -> Result<(ProcessHandle, GroupShutdown), GroupError> {
     let socket = UdpSocket::bind(bind_addr)?;
     spawn_member_on(socket, me, peers, cfg, opts)
-}
-
-/// The workload-quiescence predicate the soak harnesses use: the member
-/// generated its whole budget, has no backlog, and its frontier covers
-/// every recovery hint in the last decision (for origins whose advertised
-/// holder is alive and not itself). Mirrors the simulator soak's rule, so
-/// in-model and real-network runs terminate on the same condition.
-pub fn workload_quiescent(engine: &Engine, submitted: u64, budget: u64) -> bool {
-    if !engine.status().is_active() {
-        return true; // a dead member has nothing left to do
-    }
-    if submitted < budget || !engine.gauges().is_drained() {
-        return false;
-    }
-    let d = engine.last_decision();
-    (0..d.n()).all(|q| {
-        let hint = &d.max_processed[q];
-        hint.seq <= engine.last_processed(ProcessId::from_index(q))
-            || !engine.view().is_alive(hint.holder)
-            || hint.holder == engine.me()
-    })
 }
 
 fn hello(me: ProcessId) -> [u8; HELLO_LEN] {

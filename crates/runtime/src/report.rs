@@ -112,7 +112,8 @@ pub struct NodeReport {
     /// Final life-cycle status (`Debug` rendering of `ProcessStatus`).
     pub status: String,
     /// Whether the member reached workload quiescence
-    /// ([`workload_quiescent`](crate::workload_quiescent)) in time.
+    /// ([`Engine::workload_quiescent`](urcgc::Engine::workload_quiescent))
+    /// in time.
     pub quiesced: bool,
     /// Messages the member submitted.
     pub submitted: u64,

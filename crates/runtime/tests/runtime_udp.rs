@@ -9,8 +9,8 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use urcgc_runtime::{
-    spawn_member_on, workload_quiescent, AppEvent, GroupShutdown, LossyProxy, NodeOptions,
-    ProcessHandle, ProxyOptions, UdpGroup,
+    spawn_member_on, AppEvent, GroupShutdown, LossyProxy, NodeOptions, ProcessHandle, ProxyOptions,
+    UdpGroup,
 };
 use urcgc_types::{Mid, ProcessId, ProtocolConfig};
 
@@ -301,7 +301,7 @@ fn quiescence_predicate_reports_group_wide_completion() {
             let submitted = if m == 0 { budget } else { 0 };
             group
                 .handle(m)
-                .with_engine(move |e| workload_quiescent(e, submitted, submitted))
+                .with_engine(move |e| e.workload_quiescent(submitted, submitted))
                 .unwrap_or(false)
         });
         if !all {

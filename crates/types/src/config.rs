@@ -231,8 +231,8 @@ impl ProtocolConfig {
 /// Checked construction of a [`ProtocolConfig`].
 ///
 /// Produced by [`ProtocolConfig::builder`]. Setters mirror the `with_*`
-/// combinators but defer all derivation and checking to [`build`]
-/// (`ProtocolConfigBuilder::build`), which additionally enforces the
+/// combinators but defer all derivation and checking to
+/// [`build`](ProtocolConfigBuilder::build), which additionally enforces the
 /// resilience bound of Section 4: the coordinator-crash allowance `f` must
 /// not exceed `t = (n−1)/2`, the largest number of per-subrun failures under
 /// which decision circulation is still guaranteed.

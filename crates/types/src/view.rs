@@ -23,11 +23,6 @@ impl GroupView {
         }
     }
 
-    /// Builds a view from an explicit flag vector.
-    pub fn from_flags(alive: Vec<bool>) -> Self {
-        GroupView { alive }
-    }
-
     /// Group cardinality `n` (including members believed crashed — the view
     /// never shrinks, entries only flip to dead).
     #[inline]
