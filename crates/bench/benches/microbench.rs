@@ -24,7 +24,7 @@ fn sample_request(n: usize) -> Pdu {
         subrun: Subrun(9),
         last_processed: (0..n as u64).collect(),
         waiting: vec![NO_SEQ; n],
-        prev_decision: Decision::genesis(n),
+        prev_decision: Decision::genesis(n).into(),
         forwarded: false,
     })
 }
@@ -64,7 +64,7 @@ fn bench_codec(c: &mut Criterion) {
 fn bench_decision(c: &mut Criterion) {
     let mut g = c.benchmark_group("coordinator");
     for n in [10usize, 40] {
-        let prev = Decision::genesis(n);
+        let prev = std::sync::Arc::new(Decision::genesis(n));
         let mut matrix = StabilityMatrix::new(n);
         for i in 0..n {
             matrix.record(

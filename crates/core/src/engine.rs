@@ -18,7 +18,7 @@
 //!   history cleaning on `full_group` decisions, orphan-sequence
 //!   destruction on decided unrecoverable gaps.
 
-use std::borrow::Cow;
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -41,6 +41,23 @@ use crate::output::{EngineStats, Output, ProcessStatus, StatusReason, SubmitErro
 /// `Engine::handle_request`).
 const REQUEST_STALENESS_SUBRUNS: u64 = 2;
 
+/// The boot decision for a group of `n`, shared by every engine this
+/// thread boots at that width: it is immutable, and each engine replaces
+/// its handle with the first decision it adopts. One cached width per
+/// thread, so the cache holds a single decision at most.
+fn shared_genesis(n: usize) -> Arc<Decision> {
+    thread_local! {
+        static GENESIS: RefCell<Option<Arc<Decision>>> = const { RefCell::new(None) };
+    }
+    GENESIS.with(|cached| {
+        let mut cached = cached.borrow_mut();
+        match &*cached {
+            Some(d) if d.n() == n => Arc::clone(d),
+            _ => Arc::clone(cached.insert(Arc::new(Decision::genesis(n)))),
+        }
+    })
+}
+
 /// A group member executing the urcgc protocol.
 pub struct Engine {
     me: ProcessId,
@@ -54,14 +71,19 @@ pub struct Engine {
     waiting: WaitingList,
     history: History,
     flow: FlowControl,
-    /// Most recent decision applied (starts at genesis).
-    last_decision: Decision,
+    /// Most recent decision applied (starts at genesis). Shared, not
+    /// copied, with the broadcast that carried it and with every request
+    /// that carries it on to the next coordinator.
+    last_decision: Arc<Decision>,
     /// Subrun of the most recently applied decision, used for the
     /// missed-K-decisions exit rule. `None` until the first decision.
     last_decision_subrun: Option<Subrun>,
     /// Coordinator-side request accumulator for the subrun we coordinate,
     /// with the accumulated [`StabilityDelta`] its `record` calls emitted.
     matrix: Option<(Subrun, StabilityMatrix, StabilityDelta)>,
+    /// Reused scratch for `coordinator_decide`'s purge-hint check (one
+    /// frontier per origin), so deciding allocates no n-wide vector.
+    hint_cover: Vec<u64>,
     /// Requests that arrived while no matrix was open (stragglers,
     /// forwarded requests racing the round boundary); folded into the next
     /// matrix if still within the staleness window. At most one per sender.
@@ -103,9 +125,10 @@ impl Engine {
             waiting: WaitingList::new(),
             history: History::new(n),
             flow,
-            last_decision: Decision::genesis(n),
+            last_decision: shared_genesis(n),
             last_decision_subrun: None,
             matrix: None,
+            hint_cover: Vec::new(),
             request_stash: Vec::new(),
             pending: VecDeque::new(),
             outbox: VecDeque::new(),
@@ -163,8 +186,9 @@ impl Engine {
         &self.view
     }
 
-    /// The most recent decision applied.
-    pub fn last_decision(&self) -> &Decision {
+    /// The most recent decision applied — the same handle the next request
+    /// carries to the coordinator.
+    pub fn last_decision(&self) -> &Arc<Decision> {
         &self.last_decision
     }
 
@@ -380,9 +404,7 @@ impl Engine {
             }
             Pdu::Request(req) => self.handle_request(req),
             Pdu::Decision(d) => {
-                // Owned off the wire: adopting it moves the n-wide vectors
-                // in rather than copying them.
-                self.apply_decision_inner(Cow::Owned(d), None);
+                self.apply_decision(d, None);
             }
             Pdu::RecoveryRq(rq) => self.handle_recovery_rq(from, rq),
             Pdu::RecoveryReply(rep) => self.handle_recovery_reply(rep),
@@ -525,7 +547,7 @@ impl Engine {
         let waiting = self.waiting.waiting_vector(self.cfg.n);
         if coordinator == self.me {
             // Self-contribution: no request message is materialized, and the
-            // previous decision is only cloned if the matrix keeps it.
+            // matrix shares our previous decision by reference count.
             let mut matrix = StabilityMatrix::new(self.cfg.n);
             let mut delta = matrix.record(self.me, last_processed, waiting, &self.last_decision);
             // Fold in stashed straggler/forwarded requests that are still
@@ -550,7 +572,7 @@ impl Engine {
                     subrun,
                     last_processed,
                     waiting,
-                    prev_decision: self.last_decision.clone(),
+                    prev_decision: Arc::clone(&self.last_decision),
                     forwarded: false,
                 })),
             });
@@ -566,7 +588,7 @@ impl Engine {
         if s != subrun {
             return;
         }
-        let decision = matrix.compute(subrun, self.me, self.cfg.k, &self.last_decision);
+        let decision = Arc::new(matrix.compute(subrun, self.me, self.cfg.k, &self.last_decision));
         // The accumulated delta can drive this decision's purge directly —
         // but only when it provably describes the same purge the stable
         // vector would: the delta claims exactness, its baseline matches
@@ -582,9 +604,11 @@ impl Engine {
                 .freshest_prev()
                 .is_some_and(|p| p.full_group && self.last_decision_subrun == Some(p.subrun))
             && {
-                let mut covered: Vec<u64> = (0..self.cfg.n)
-                    .map(|q| self.history.stable_frontier(ProcessId::from_index(q)))
-                    .collect();
+                let covered = &mut self.hint_cover;
+                covered.clear();
+                covered.extend(
+                    (0..self.cfg.n).map(|q| self.history.stable_frontier(ProcessId::from_index(q))),
+                );
                 for r in delta.ranges() {
                     let c = &mut covered[r.origin.index()];
                     *c = (*c).max(r.upto_seq);
@@ -592,21 +616,15 @@ impl Engine {
                 decision
                     .stable
                     .iter()
-                    .enumerate()
-                    .all(|(q, &s)| s <= covered[q])
+                    .zip(covered.iter())
+                    .all(|(&s, &c)| s <= c)
             };
         self.stats.decisions_made += 1;
-        let pdu = Arc::new(Pdu::Decision(decision));
+        // The broadcast and our own adopted copy share one allocation.
         self.outbox.push_back(Output::Broadcast {
-            pdu: Arc::clone(&pdu),
+            pdu: Arc::new(Pdu::Decision(Arc::clone(&decision))),
         });
-        let Pdu::Decision(decision) = &*pdu else {
-            unreachable!("just built")
-        };
-        self.apply_decision_inner(
-            Cow::Borrowed(decision),
-            if hint_ok { Some(&delta) } else { None },
-        );
+        self.apply_decision(decision, if hint_ok { Some(&delta) } else { None });
     }
 
     // ------------------------------------------------------------------
@@ -704,7 +722,7 @@ impl Engine {
     fn handle_request(&mut self, req: RequestMsg) {
         // Decision circulation: a request can carry a decision newer than
         // anything we have seen (e.g. we missed the previous broadcast).
-        self.apply_decision(&req.prev_decision);
+        self.apply_decision(Arc::clone(&req.prev_decision), None);
         if !self.status.is_active() {
             return; // the carried decision may have declared us dead
         }
@@ -749,21 +767,14 @@ impl Engine {
 
     /// Adopts `d` if it is newer than the current decision; applies history
     /// cleaning, view updates, suicide, and orphan destruction. Returns
-    /// whether it was adopted. Takes a reference and clones only on
-    /// adoption, so the common stale/duplicate case copies nothing.
-    fn apply_decision(&mut self, d: &Decision) -> bool {
-        self.apply_decision_inner(Cow::Borrowed(d), None)
-    }
-
-    /// [`Engine::apply_decision`] with an optional purge hint: the
-    /// coordinator's accumulated [`StabilityDelta`], passed only when
-    /// `coordinator_decide` has proven it equivalent to `d.stable`. An
-    /// owned `d` is moved in on adoption; a borrowed one is cloned.
-    fn apply_decision_inner(
-        &mut self,
-        d: Cow<'_, Decision>,
-        hint: Option<&StabilityDelta>,
-    ) -> bool {
+    /// whether it was adopted. Adoption keeps the handle itself, so no
+    /// path — off the wire, out of a request, or our own as coordinator —
+    /// copies the decision's n-wide vectors.
+    ///
+    /// `hint` is the coordinator's accumulated [`StabilityDelta`], passed
+    /// only when `coordinator_decide` has proven it equivalent to
+    /// `d.stable`.
+    fn apply_decision(&mut self, d: Arc<Decision>, hint: Option<&StabilityDelta>) -> bool {
         // "Newer" is judged against the last *applied* decision; before any
         // decision has been applied, even a subrun-0 decision supersedes
         // the synthetic genesis value the engine boots with. Carried
@@ -783,7 +794,7 @@ impl Engine {
 
         if !d.process_state[self.me.index()] {
             // The group has declared us crashed: commit suicide.
-            self.last_decision = d.into_owned();
+            self.last_decision = d;
             self.transition(ProcessStatus::Suicided, StatusReason::DeclaredCrashed);
             return true;
         }
@@ -823,7 +834,7 @@ impl Engine {
                     .push_back(Output::Discarded { mids: doomed_all });
             }
         }
-        self.last_decision = d.into_owned();
+        self.last_decision = d;
         true
     }
 
@@ -1169,7 +1180,7 @@ mod tests {
         let mut d = Decision::genesis(N);
         d.subrun = Subrun(3);
         d.process_state[1] = false;
-        e.on_pdu(ProcessId(0), Pdu::Decision(d));
+        e.on_pdu(ProcessId(0), Pdu::Decision(d.into()));
         assert_eq!(e.status(), ProcessStatus::Suicided);
         let mut saw = false;
         while let Some(o) = e.poll_output() {
@@ -1216,11 +1227,11 @@ mod tests {
         let mut e = Engine::new(ProcessId(0), cfg());
         let mut newer = Decision::genesis(N);
         newer.subrun = Subrun(5);
-        assert!(e.apply_decision(&newer));
+        assert!(e.apply_decision(newer.into(), None));
         let mut stale = Decision::genesis(N);
         stale.subrun = Subrun(2);
         stale.process_state[0] = false; // malicious staleness
-        assert!(!e.apply_decision(&stale));
+        assert!(!e.apply_decision(stale.into(), None));
         assert_eq!(e.status(), ProcessStatus::Active);
     }
 
@@ -1243,7 +1254,7 @@ mod tests {
             holder: ProcessId(1),
             seq: 2,
         };
-        e.on_pdu(ProcessId(0), Pdu::Decision(d));
+        e.on_pdu(ProcessId(0), Pdu::Decision(d.into()));
         // Decision round triggers the recovery ask.
         e.begin_round(Round(3));
         let mut asked = None;
@@ -1331,7 +1342,7 @@ mod tests {
             holder: ProcessId(0),
             seq: 1,
         };
-        lagger.on_pdu(ProcessId(0), Pdu::Decision(d));
+        lagger.on_pdu(ProcessId(0), Pdu::Decision(d.into()));
         lagger.begin_round(Round(3));
         let mut batch_rqs = Vec::new();
         while let Some(o) = lagger.poll_output() {
@@ -1380,7 +1391,7 @@ mod tests {
             holder: ProcessId(0),
             seq: 1,
         };
-        e.on_pdu(ProcessId(0), Pdu::Decision(d));
+        e.on_pdu(ProcessId(0), Pdu::Decision(d.into()));
         e.begin_round(Round(3));
         let mut rqs = 0;
         while let Some(o) = e.poll_output() {
@@ -1442,7 +1453,7 @@ mod tests {
                 holder: ProcessId(1),
                 seq: 2,
             };
-            e.on_pdu(ProcessId(1), Pdu::Decision(d));
+            e.on_pdu(ProcessId(1), Pdu::Decision(d.into()));
             e.begin_round(Subrun(s).request_round());
             e.begin_round(Subrun(s).decision_round());
             while let Some(o) = e.poll_output() {
@@ -1493,7 +1504,7 @@ mod tests {
             seq: 1,
         };
         d.min_waiting[0] = 3;
-        e.on_pdu(ProcessId(2), Pdu::Decision(d));
+        e.on_pdu(ProcessId(2), Pdu::Decision(d.into()));
         assert_eq!(e.gauges().waiting_len, 0, "orphan suffix destroyed");
         let mut discarded = Vec::new();
         while let Some(o) = e.poll_output() {
@@ -1528,7 +1539,7 @@ mod tests {
         let mut d = Decision::genesis(N);
         d.subrun = Subrun(1);
         d.stable = vec![1, 0, 0];
-        e.on_pdu(ProcessId(1), Pdu::Decision(d));
+        e.on_pdu(ProcessId(1), Pdu::Decision(d.into()));
         assert_eq!(e.gauges().history_len, 0);
         e.begin_round(Round(2));
         assert_eq!(e.gauges().pending_len, 0, "unblocked after cleaning");

@@ -19,6 +19,8 @@
 //! * **orphan detection** — `min_waiting[q]`: the group-wide oldest waiting
 //!   sequence number per origin.
 
+use std::sync::Arc;
+
 use urcgc_types::{Decision, MaxProcessed, ProcessId, Subrun, NO_SEQ};
 
 /// One member's contribution to the current subrun.
@@ -95,8 +97,9 @@ pub struct StabilityMatrix {
     contributions: Vec<Option<Contribution>>,
     /// The freshest previous decision seen in any request (decision
     /// circulation: with resilience `t = (n−1)/2` at least one copy of the
-    /// previous decision reaches the current coordinator).
-    freshest_prev: Option<Decision>,
+    /// previous decision reaches the current coordinator). A shared handle
+    /// to the carried decision, never a copy of it.
+    freshest_prev: Option<Arc<Decision>>,
     delta: Option<DeltaAcc>,
 }
 
@@ -118,9 +121,10 @@ impl StabilityMatrix {
 
     /// Records `sender`'s request. Later duplicates (retransmissions)
     /// overwrite earlier ones — `last_processed` is monotone so the newest
-    /// copy is the most informative. The carried previous decision is cloned
-    /// only when it is the freshest seen so far; stale copies (the common
-    /// case — every member carries the same previous decision) cost nothing.
+    /// copy is the most informative. The carried previous decision is kept,
+    /// by reference count, only when it is the freshest seen so far; stale
+    /// copies (the common case — every member carries the same previous
+    /// decision) cost nothing.
     ///
     /// Returns the [`StabilityDelta`] this contribution unlocked: empty
     /// while coverage of the baseline's alive set is incomplete, then the
@@ -130,7 +134,7 @@ impl StabilityMatrix {
         sender: ProcessId,
         last_processed: Vec<u64>,
         waiting: Vec<u64>,
-        prev_decision: &Decision,
+        prev_decision: &Arc<Decision>,
     ) -> StabilityDelta {
         assert_eq!(last_processed.len(), self.n, "last_processed width");
         assert_eq!(waiting.len(), self.n, "waiting width");
@@ -144,7 +148,7 @@ impl StabilityMatrix {
             Some(cur) => prev_decision.is_newer_than(cur),
         };
         if fresher {
-            self.freshest_prev = Some(prev_decision.clone());
+            self.freshest_prev = Some(Arc::clone(prev_decision));
         }
         match self.delta.as_mut() {
             Some(acc) if !fresher && !overwrite => {
@@ -263,7 +267,7 @@ impl StabilityMatrix {
 
     /// The freshest previous decision carried by any contributor, if any.
     pub fn freshest_prev(&self) -> Option<&Decision> {
-        self.freshest_prev.as_ref()
+        self.freshest_prev.as_deref()
     }
 
     /// Computes this subrun's decision.
@@ -284,7 +288,7 @@ impl StabilityMatrix {
         k: u32,
         fallback_prev: &Decision,
     ) -> Decision {
-        let prev = match &self.freshest_prev {
+        let prev = match self.freshest_prev.as_deref() {
             Some(p) if p.is_newer_than(fallback_prev) => p,
             _ => fallback_prev,
         };
@@ -415,7 +419,18 @@ mod tests {
 
     fn record_simple(m: &mut StabilityMatrix, i: u16, lp: Vec<u64>, prev: &Decision) {
         let n = lp.len();
-        m.record(pid(i), lp, vec![NO_SEQ; n], prev);
+        record(m, i, lp, vec![NO_SEQ; n], prev);
+    }
+
+    /// [`StabilityMatrix::record`] carrying a fresh handle to `prev`.
+    fn record(
+        m: &mut StabilityMatrix,
+        i: u16,
+        lp: Vec<u64>,
+        waiting: Vec<u64>,
+        prev: &Decision,
+    ) -> StabilityDelta {
+        m.record(pid(i), lp, waiting, &Arc::new(prev.clone()))
     }
 
     #[test]
@@ -563,8 +578,8 @@ mod tests {
     fn min_waiting_is_groupwide_minimum() {
         let genesis = Decision::genesis(2);
         let mut m = StabilityMatrix::new(2);
-        m.record(pid(0), vec![0, 0], vec![NO_SEQ, 7], &genesis);
-        m.record(pid(1), vec![0, 0], vec![NO_SEQ, 4], &genesis);
+        record(&mut m, 0, vec![0, 0], vec![NO_SEQ, 7], &genesis);
+        record(&mut m, 1, vec![0, 0], vec![NO_SEQ, 4], &genesis);
         let d = m.compute(Subrun(1), pid(0), 3, &genesis);
         assert_eq!(d.min_waiting, vec![NO_SEQ, 4]);
     }
@@ -578,8 +593,8 @@ mod tests {
         newer.full_group = false;
         newer.covered = vec![true, true];
         let mut m = StabilityMatrix::new(2);
-        m.record(pid(0), vec![9, 9], vec![NO_SEQ; 2], &genesis);
-        m.record(pid(1), vec![9, 9], vec![NO_SEQ; 2], &newer);
+        record(&mut m, 0, vec![9, 9], vec![NO_SEQ; 2], &genesis);
+        record(&mut m, 1, vec![9, 9], vec![NO_SEQ; 2], &newer);
         assert_eq!(m.freshest_prev().unwrap().subrun, Subrun(5));
         // compute() continues from the newer (partial) decision, so mins
         // include its stable values.
@@ -602,12 +617,12 @@ mod tests {
     fn delta_empty_until_full_coverage_then_matches_compute() {
         let prev = Decision::genesis(3);
         let mut m = StabilityMatrix::new(3);
-        let d1 = m.record(pid(0), vec![5, 2, 1], vec![NO_SEQ; 3], &prev);
+        let d1 = record(&mut m, 0, vec![5, 2, 1], vec![NO_SEQ; 3], &prev);
         assert!(d1.is_empty(), "one contributor cannot stabilize anything");
         assert!(!m.delta_exact());
-        let d2 = m.record(pid(1), vec![4, 3, 1], vec![NO_SEQ; 3], &prev);
+        let d2 = record(&mut m, 1, vec![4, 3, 1], vec![NO_SEQ; 3], &prev);
         assert!(d2.is_empty());
-        let d3 = m.record(pid(2), vec![5, 3, 2], vec![NO_SEQ; 3], &prev);
+        let d3 = record(&mut m, 2, vec![5, 3, 2], vec![NO_SEQ; 3], &prev);
         assert!(m.delta_exact());
         let decision = m.compute(Subrun(1), pid(0), 3, &prev);
         assert!(decision.full_group);
@@ -624,8 +639,8 @@ mod tests {
     fn delta_increments_after_coverage() {
         let prev = Decision::genesis(2);
         let mut m = StabilityMatrix::new(2);
-        let _ = m.record(pid(0), vec![5, 5], vec![NO_SEQ; 2], &prev);
-        let d = m.record(pid(1), vec![3, 9], vec![NO_SEQ; 2], &prev);
+        let _ = record(&mut m, 0, vec![5, 5], vec![NO_SEQ; 2], &prev);
+        let d = record(&mut m, 1, vec![3, 9], vec![NO_SEQ; 2], &prev);
         assert_eq!(
             d.ranges(),
             &[
@@ -642,7 +657,7 @@ mod tests {
             ]
         );
         // An overwrite with a fresher (higher) vector extends the ranges.
-        let d = m.record(pid(1), vec![4, 9], vec![NO_SEQ; 2], &prev);
+        let d = record(&mut m, 1, vec![4, 9], vec![NO_SEQ; 2], &prev);
         assert_eq!(
             d.ranges(),
             &[StableRange {
@@ -669,11 +684,11 @@ mod tests {
         let d1 = m1.compute(Subrun(1), pid(1), 3, &genesis);
         assert!(!d1.full_group);
         let mut m2 = StabilityMatrix::new(3);
-        let delta = m2.record(pid(1), vec![9, 9, 9], vec![NO_SEQ; 3], &d1);
+        let delta = record(&mut m2, 1, vec![9, 9, 9], vec![NO_SEQ; 3], &d1);
         assert!(delta.is_empty());
-        let delta = m2.record(pid(2), vec![9, 9, 9], vec![NO_SEQ; 3], &d1);
+        let delta = record(&mut m2, 2, vec![9, 9, 9], vec![NO_SEQ; 3], &d1);
         assert!(delta.is_empty());
-        let delta = m2.record(pid(0), vec![9, 9, 9], vec![NO_SEQ; 3], &d1);
+        let delta = record(&mut m2, 0, vec![9, 9, 9], vec![NO_SEQ; 3], &d1);
         // Coverage completes here (continuation covered p0 already), and
         // the full-coverage emission matches compute.
         let d2 = m2.compute(Subrun(2), pid(2), 3, &d1);
@@ -694,10 +709,10 @@ mod tests {
         let mut prev = Decision::genesis(2);
         prev.process_state[1] = false;
         let mut m = StabilityMatrix::new(2);
-        let d = m.record(pid(0), vec![9, 9], vec![NO_SEQ; 2], &prev);
+        let d = record(&mut m, 0, vec![9, 9], vec![NO_SEQ; 2], &prev);
         assert!(!d.is_empty(), "p0 alone covers the alive set");
         assert!(m.delta_exact());
-        let d = m.record(pid(1), vec![2, 2], vec![NO_SEQ; 2], &prev);
+        let d = record(&mut m, 1, vec![2, 2], vec![NO_SEQ; 2], &prev);
         assert!(d.is_empty());
         assert!(!m.delta_exact(), "over-claimed deltas are poisoned");
         // compute still gives the true (lower) answer.
@@ -712,10 +727,10 @@ mod tests {
         full.full_group = true;
         full.stable = vec![4, 4];
         let mut m = StabilityMatrix::new(2);
-        let _ = m.record(pid(0), vec![9, 9], vec![NO_SEQ; 2], &genesis);
+        let _ = record(&mut m, 0, vec![9, 9], vec![NO_SEQ; 2], &genesis);
         // p1 carries a fresher full-group baseline: accumulation restarts
         // on top of it, and emitted ranges start from its stable vector.
-        let d = m.record(pid(1), vec![8, 8], vec![NO_SEQ; 2], &full);
+        let d = record(&mut m, 1, vec![8, 8], vec![NO_SEQ; 2], &full);
         assert!(m.delta_exact());
         assert_eq!(
             d.ranges(),

@@ -1,31 +1,44 @@
 //! The history table, stored as fixed-span **segments** per origin.
 //!
 //! Each origin's processed messages are split into segments of
-//! [`SEGMENT_SPAN`] consecutive sequence numbers, indexed by sequence
-//! range. The segmented layout serves the three operations the protocol
-//! leans on at soak scale:
+//! [`SEGMENT_SPAN`] consecutive sequence numbers. An origin keeps its
+//! live segments in a `VecDeque` sorted by segment index: saves append at
+//! the back (the protocol processes each origin's messages nearly in
+//! order), and the rare out-of-order save — recovery filling a hole
+//! behind a later segment — is a binary-search insert. The layout serves
+//! the three operations the protocol leans on at soak scale:
 //!
 //! * [`History::range`] (recovery replies) slices whole segments instead
 //!   of walking a comparison-based map;
-//! * [`History::advance_stability`] (cleaning) drops whole segments in
-//!   O(segments-freed) driven by the group's stability vector, touching
-//!   individual slots only in the one boundary segment;
+//! * [`History::advance_stability`] (cleaning) pops whole segments off the
+//!   front, driven by the group's stability vector, and clears individual
+//!   slots only in the one boundary segment, starting from the *old*
+//!   frontier — so a purge costs what it purges (the segments it frees and
+//!   the boundary slots the frontier moves over), not a full segment span
+//!   per advanced origin, and the deque keeps its capacity across rounds
+//!   instead of freeing and reallocating tree nodes;
 //! * residency gauges ([`History::len`], [`History::payload_bytes`],
 //!   [`History::segments_live`]) are maintained incrementally and cost
 //!   O(1), so the soak harness can sample them every window for free.
+//!
+//! A segment is only ever allocated for a sequence actually saved, so a
+//! forged far-ahead sequence number costs one segment, never the gap to
+//! it. Drained segments are freed rather than pooled: a pool trades a
+//! per-message allocation for residency the history would otherwise give
+//! back.
 //!
 //! The previous flat `BTreeMap`-per-origin layout survives as
 //! [`FlatHistory`](crate::FlatHistory), the executable specification the
 //! differential proptest compares against.
 
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use urcgc_types::{DataMsg, Mid, ProcessId, NO_SEQ};
 
 /// Sequence numbers per segment. Sixty-four keeps a segment's slot array
-/// in one or two cache lines of pointers while letting a purge over a
-/// soak-sized backlog (thousands of sequences) free storage segment-wise.
+/// at 512 B (one pointer per slot) while letting a purge over a soak-sized
+/// backlog (thousands of sequences) free storage segment-wise.
 pub const SEGMENT_SPAN: u64 = 64;
 
 /// A borrowed view of the group-agreed stability vector (`stable[q]` is
@@ -96,13 +109,15 @@ impl PurgeReport {
 /// Slot `i` holds sequence `index * SEGMENT_SPAN + i + 1`.
 #[derive(Clone, Debug)]
 struct Segment {
+    index: u64,
     live: u32,
     slots: Box<[Option<Arc<DataMsg>>]>,
 }
 
 impl Segment {
-    fn empty() -> Self {
+    fn empty(index: u64) -> Self {
         Segment {
+            index,
             live: 0,
             slots: vec![None; SEGMENT_SPAN as usize].into_boxed_slice(),
         }
@@ -127,12 +142,58 @@ fn seg_base(index: u64) -> u64 {
 
 /// One origin's entry: its segments, the purge frontier (everything
 /// `<= purged_to` has been cleaned away), and incremental gauges.
+///
+/// `segments` is sorted by index, holds no empty segment, and holds no
+/// sequence at or below `purged_to`.
 #[derive(Clone, Debug, Default)]
 struct Entry {
     purged_to: u64,
     live: usize,
     bytes: usize,
-    segments: BTreeMap<u64, Segment>,
+    segments: VecDeque<Segment>,
+}
+
+impl Entry {
+    /// Position of segment `index` (`Ok`) or where it would be inserted
+    /// (`Err`). Live segments are usually contiguous, so the direct probe
+    /// at `index - front.index` answers without a search.
+    fn find(&self, index: u64) -> Result<usize, usize> {
+        let Some(front) = self.segments.front() else {
+            return Err(0);
+        };
+        if let Some(pos) = index
+            .checked_sub(front.index)
+            .and_then(|d| usize::try_from(d).ok())
+        {
+            if self.segments.get(pos).is_some_and(|s| s.index == index) {
+                return Ok(pos);
+            }
+        }
+        self.segments.binary_search_by_key(&index, |s| s.index)
+    }
+
+    /// The segment holding `index`, allocated (and counted in
+    /// `segments_live`) if absent.
+    fn segment_mut(&mut self, index: u64, segments_live: &mut usize) -> &mut Segment {
+        let pos = match self.segments.back() {
+            // In-order save: the newest segment, or a fresh one after it.
+            Some(back) if back.index == index => self.segments.len() - 1,
+            Some(back) if back.index > index => match self.find(index) {
+                Ok(pos) => pos,
+                Err(pos) => {
+                    *segments_live += 1;
+                    self.segments.insert(pos, Segment::empty(index));
+                    pos
+                }
+            },
+            _ => {
+                *segments_live += 1;
+                self.segments.push_back(Segment::empty(index));
+                self.segments.len() - 1
+            }
+        };
+        &mut self.segments[pos]
+    }
 }
 
 /// The per-process history buffer: processed messages of every origin, kept
@@ -174,14 +235,11 @@ impl History {
         if msg.mid.seq <= entry.purged_to {
             return false;
         }
-        let seg = entry
-            .segments
-            .entry(seg_index(msg.mid.seq))
-            .or_insert_with(|| {
-                self.segments += 1;
-                Segment::empty()
-            });
-        let slot = &mut seg.slots[seg_slot(msg.mid.seq)];
+        let seq = msg.mid.seq;
+        // A duplicate's segment exists already, so only a genuinely new
+        // message can allocate one.
+        let seg = entry.segment_mut(seg_index(seq), &mut self.segments);
+        let slot = &mut seg.slots[seg_slot(seq)];
         if slot.is_some() {
             return false;
         }
@@ -205,12 +263,9 @@ impl History {
         if mid.seq == NO_SEQ {
             return None;
         }
-        self.entries
-            .get(mid.origin.index())?
-            .segments
-            .get(&seg_index(mid.seq))?
-            .slots[seg_slot(mid.seq)]
-        .as_ref()
+        let entry = self.entries.get(mid.origin.index())?;
+        let pos = entry.find(seg_index(mid.seq)).ok()?;
+        entry.segments[pos].slots[seg_slot(mid.seq)].as_ref()
     }
 
     /// Messages of `origin` with `after_seq < seq <= upto_seq`, in order —
@@ -230,9 +285,15 @@ impl History {
         }
         let lo = after_seq + 1; // > NO_SEQ, no overflow: after_seq < upto_seq
         let hi = upto_seq;
+        let (first, last) = (seg_index(lo), seg_index(hi));
+        let start = entry.find(first).unwrap_or_else(|pos| pos);
         let mut out = Vec::new();
-        for (&index, seg) in entry.segments.range(seg_index(lo)..=seg_index(hi)) {
-            let base = seg_base(index);
+        for seg in entry
+            .segments
+            .range(start..)
+            .take_while(|s| s.index <= last)
+        {
+            let base = seg_base(seg.index);
             let first = lo.max(base);
             let last = hi.min(base + SEGMENT_SPAN - 1);
             for m in seg.slots[(first - base) as usize..=(last - base) as usize]
@@ -247,10 +308,10 @@ impl History {
 
     /// Advances every origin's purge frontier to the group-agreed stability
     /// vector, dropping everything at or below it. This is the single purge
-    /// entry point: segments entirely below a frontier are freed whole
-    /// (O(segments-freed)); only the one boundary segment per origin has
-    /// its slots cleared individually. Frontiers never regress — a stale
-    /// vector is a per-origin no-op.
+    /// entry point: segments entirely below a frontier are popped whole off
+    /// the front of the origin's deque; only the one boundary segment per
+    /// origin has its slots cleared individually, from the old frontier up.
+    /// Frontiers never regress — a stale vector is a per-origin no-op.
     pub fn advance_stability(&mut self, stable: &StableVector<'_>) -> PurgeReport {
         let mut report = PurgeReport::default();
         for q in 0..self.n() {
@@ -271,46 +332,46 @@ impl History {
     /// settles the table-wide `live`/`bytes` gauges from the report.
     fn purge_origin(&mut self, q: usize, upto: u64, report: &mut PurgeReport) {
         let entry = &mut self.entries[q];
+        // Nothing at or below the old frontier is stored, so the boundary
+        // scan below starts just past it.
+        let from = entry.purged_to + 1;
         entry.purged_to = upto;
         // Segments covering only sequences <= upto: all indexes below
         // upto / SPAN (segment `i` ends at (i+1) * SPAN).
         let first_kept = upto / SEGMENT_SPAN;
-        if entry
-            .segments
-            .first_key_value()
-            .is_some_and(|(&i, _)| i < first_kept)
-        {
-            let keep = entry.segments.split_off(&first_kept);
-            for seg in std::mem::replace(&mut entry.segments, keep).into_values() {
-                report.segments_freed += 1;
-                self.segments -= 1;
-                report.messages += seg.live as usize;
-                entry.live -= seg.live as usize;
-                for m in seg.slots.iter().flatten() {
-                    report.bytes += m.payload.len();
-                    entry.bytes -= m.payload.len();
-                }
+        while entry.segments.front().is_some_and(|s| s.index < first_kept) {
+            let seg = entry.segments.pop_front().expect("front checked");
+            report.segments_freed += 1;
+            self.segments -= 1;
+            report.messages += seg.live as usize;
+            entry.live -= seg.live as usize;
+            for m in seg.slots.iter().flatten() {
+                report.bytes += m.payload.len();
+                entry.bytes -= m.payload.len();
             }
         }
         // Boundary segment: upto lands mid-segment unless it is an
         // exact multiple of the span.
-        if !upto.is_multiple_of(SEGMENT_SPAN) {
-            if let Some(seg) = entry.segments.get_mut(&first_kept) {
-                for slot in &mut seg.slots[..=seg_slot(upto)] {
-                    if let Some(m) = slot.take() {
-                        seg.live -= 1;
-                        report.messages += 1;
-                        report.bytes += m.payload.len();
-                        entry.live -= 1;
-                        entry.bytes -= m.payload.len();
-                    }
-                }
-                if seg.live == 0 {
-                    entry.segments.remove(&first_kept);
-                    report.segments_freed += 1;
-                    self.segments -= 1;
-                }
+        if upto.is_multiple_of(SEGMENT_SPAN) {
+            return;
+        }
+        let Some(seg) = entry.segments.front_mut().filter(|s| s.index == first_kept) else {
+            return;
+        };
+        let lo = from.max(seg_base(first_kept));
+        for slot in &mut seg.slots[seg_slot(lo)..=seg_slot(upto)] {
+            if let Some(m) = slot.take() {
+                seg.live -= 1;
+                report.messages += 1;
+                report.bytes += m.payload.len();
+                entry.live -= 1;
+                entry.bytes -= m.payload.len();
             }
+        }
+        if seg.live == 0 {
+            entry.segments.pop_front();
+            report.segments_freed += 1;
+            self.segments -= 1;
         }
     }
 
@@ -377,7 +438,7 @@ impl History {
         };
         // Segments are never left empty (purge removes drained boundary
         // segments), so the last segment holds the answer.
-        let Some((&index, seg)) = entry.segments.last_key_value() else {
+        let Some(seg) = entry.segments.back() else {
             return NO_SEQ;
         };
         let slot = seg
@@ -385,7 +446,7 @@ impl History {
             .iter()
             .rposition(Option::is_some)
             .expect("segments are never empty");
-        seg_base(index) + slot as u64
+        seg_base(seg.index) + slot as u64
     }
 
     /// Total payload bytes currently held — the memory-footprint view of

@@ -1,6 +1,8 @@
 //! Property tests for history management: purge/save invariants and
 //! monotonicity of the coordinator's stability computation.
 
+use std::sync::Arc;
+
 use bytes::Bytes;
 use proptest::prelude::*;
 use urcgc_history::{History, StabilityMatrix, StableVector};
@@ -13,8 +15,8 @@ fn purge_one(h: &mut History, p: u16, upto: u64) -> usize {
     h.advance_stability(&StableVector::new(&stable)).messages
 }
 
-fn msg(p: u16, s: u64) -> std::sync::Arc<DataMsg> {
-    std::sync::Arc::new(DataMsg {
+fn msg(p: u16, s: u64) -> Arc<DataMsg> {
+    Arc::new(DataMsg {
         mid: Mid::new(ProcessId(p), s),
         deps: vec![],
         round: Round(0),
@@ -94,7 +96,7 @@ proptest! {
         )
     ) {
         let n = 4;
-        let prev = Decision::genesis(n);
+        let prev = Arc::new(Decision::genesis(n));
         let mut m = StabilityMatrix::new(n);
         for (i, f) in frontiers.iter().enumerate() {
             m.record(ProcessId::from_index(i), f.clone(), vec![NO_SEQ; n], &prev);
@@ -119,7 +121,7 @@ proptest! {
         at in 1usize..4,
     ) {
         let n = 4;
-        let genesis = Decision::genesis(n);
+        let genesis = Arc::new(Decision::genesis(n));
         // One-shot computation.
         let mut all = StabilityMatrix::new(n);
         for (i, f) in frontiers.iter().enumerate() {
@@ -132,7 +134,7 @@ proptest! {
         for (i, f) in frontiers.iter().enumerate().take(at) {
             m1.record(ProcessId::from_index(i), f.clone(), vec![NO_SEQ; n], &genesis);
         }
-        let d1 = m1.compute(Subrun(1), ProcessId(0), 9, &genesis);
+        let d1 = Arc::new(m1.compute(Subrun(1), ProcessId(0), 9, &genesis));
         let mut m2 = StabilityMatrix::new(n);
         for (i, f) in frontiers.iter().enumerate().skip(at) {
             m2.record(ProcessId::from_index(i), f.clone(), vec![NO_SEQ; n], &d1);

@@ -20,7 +20,7 @@
 use std::collections::HashMap;
 use std::time::Duration;
 
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use urcgc::Deadlines;
 use urcgc_transport::{fragment, TFrame, DATA_HEADER_LEN};
 use urcgc_types::ProcessId;
@@ -141,12 +141,13 @@ impl Reassembler {
         }
         let done = self.partial.remove(&key).expect("entry just completed");
         self.deadlines.disarm(&key);
-        let total: usize = done.slots.iter().map(|s| s.as_ref().unwrap().len()).sum();
-        let mut frame = BytesMut::with_capacity(total);
-        for s in done.slots {
-            frame.extend_from_slice(&s.unwrap());
-        }
-        Some((src, frame.freeze()))
+        // Straight into the frame's final buffer: one allocation, one copy.
+        let frame = Bytes::concat(
+            done.slots
+                .iter()
+                .map(|s| s.as_deref().expect("complete transfer")),
+        );
+        Some((src, frame))
     }
 
     /// Drops every partial transfer whose TTL has passed; returns how many

@@ -44,8 +44,10 @@ pub struct RequestMsg {
     /// process's waiting list ([`crate::id::NO_SEQ`] if none; length `n`).
     pub waiting: Vec<u64>,
     /// The most recent decision this process received — how decisions
-    /// reliably circulate from coordinator `c−1` to coordinator `c`.
-    pub prev_decision: Decision,
+    /// reliably circulate from coordinator `c−1` to coordinator `c`. Shared
+    /// with the sender's own copy by reference count: building a request
+    /// never deep-copies the decision's n-wide vectors.
+    pub prev_decision: Arc<Decision>,
     /// Whether this request has already been forwarded once by an
     /// ex-coordinator (straggler absorption; prevents forwarding loops).
     pub forwarded: bool,
@@ -134,8 +136,10 @@ pub enum Pdu {
     Data(Arc<DataMsg>),
     /// Member → coordinator subrun request.
     Request(RequestMsg),
-    /// Coordinator → group decision broadcast.
-    Decision(Decision),
+    /// Coordinator → group decision broadcast. Reference-counted like
+    /// [`Pdu::Data`]: the coordinator's broadcast, its own adopted copy and
+    /// every later request that carries it back share one allocation.
+    Decision(Arc<Decision>),
     /// Lagging process → most-updated process recovery ask.
     RecoveryRq(RecoveryRq),
     /// Recovery answer served from history.
@@ -239,7 +243,7 @@ mod tests {
     #[test]
     fn control_classification_excludes_data() {
         assert!(!Pdu::data(sample_data()).is_control());
-        assert!(Pdu::Decision(Decision::genesis(2)).is_control());
+        assert!(Pdu::Decision(Decision::genesis(2).into()).is_control());
     }
 
     #[test]

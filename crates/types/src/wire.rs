@@ -547,7 +547,7 @@ impl WireDecode for RequestMsg {
             subrun: Subrun::decode(buf)?,
             last_processed: Vec::decode(buf)?,
             waiting: Vec::decode(buf)?,
-            prev_decision: Decision::decode(buf)?,
+            prev_decision: Arc::decode(buf)?,
             forwarded: bool::decode(buf)?,
         })
     }
@@ -750,7 +750,7 @@ impl WireDecode for Pdu {
         match u8::decode(buf)? {
             TAG_DATA => Ok(Pdu::Data(Arc::decode(buf)?)),
             TAG_REQUEST => Ok(Pdu::Request(RequestMsg::decode(buf)?)),
-            TAG_DECISION => Ok(Pdu::Decision(Decision::decode(buf)?)),
+            TAG_DECISION => Ok(Pdu::Decision(Arc::decode(buf)?)),
             TAG_RECOVERY_RQ => Ok(Pdu::RecoveryRq(RecoveryRq::decode(buf)?)),
             TAG_RECOVERY_REPLY => Ok(Pdu::RecoveryReply(RecoveryReply::decode(buf)?)),
             TAG_RECOVERY_BATCH_RQ => Ok(Pdu::RecoveryBatchRq(RecoveryBatchRq::decode(buf)?)),
@@ -827,14 +827,14 @@ mod tests {
             subrun: Subrun(5),
             last_processed: vec![1, 0, 7],
             waiting: vec![NO_SEQ, 4, NO_SEQ],
-            prev_decision: sample_decision(3),
+            prev_decision: sample_decision(3).into(),
             forwarded: true,
         }));
     }
 
     #[test]
     fn decision_roundtrip() {
-        roundtrip(&Pdu::Decision(sample_decision(5)));
+        roundtrip(&Pdu::Decision(sample_decision(5).into()));
     }
 
     #[test]
@@ -984,7 +984,7 @@ mod tests {
         // including the batched recovery tags (6/7), which are the common
         // case now that `batched_recovery` defaults on.
         for pdu in [
-            Pdu::Decision(sample_decision(4)),
+            Pdu::Decision(sample_decision(4).into()),
             sample_batch_rq(),
             sample_batch(),
         ] {
@@ -1007,7 +1007,7 @@ mod tests {
     fn frame_cache_matches_one_shot_encoding() {
         let mut cache = FrameCache::new();
         for pdu in [
-            Pdu::Decision(sample_decision(4)),
+            Pdu::Decision(sample_decision(4).into()),
             sample_batch_rq(),
             sample_batch(),
             Pdu::data(DataMsg {
@@ -1026,7 +1026,7 @@ mod tests {
     #[test]
     fn frame_cache_clones_share_one_allocation() {
         let mut cache = FrameCache::new();
-        let frame = cache.encode(&Pdu::Decision(sample_decision(8)));
+        let frame = cache.encode(&Pdu::Decision(sample_decision(8).into()));
         let fanout: Vec<Bytes> = (0..100).map(|_| frame.clone()).collect();
         let base = frame.as_ptr();
         for copy in &fanout {
@@ -1037,11 +1037,11 @@ mod tests {
     #[test]
     fn frame_cache_retains_capacity_across_frames() {
         let mut cache = FrameCache::new();
-        let big = cache.encode(&Pdu::Decision(sample_decision(64)));
+        let big = cache.encode(&Pdu::Decision(sample_decision(64).into()));
         let warm = cache.capacity();
         assert!(warm >= big.len());
         // Smaller frames reuse the warm arena instead of growing it.
-        cache.encode(&Pdu::Decision(sample_decision(4)));
+        cache.encode(&Pdu::Decision(sample_decision(4).into()));
         cache.encode(&sample_batch_rq());
         assert_eq!(cache.capacity(), warm, "steady-state encode grew the arena");
     }
@@ -1053,10 +1053,10 @@ mod tests {
             subrun: Subrun(5),
             last_processed: vec![1; 100],
             waiting: vec![NO_SEQ; 100],
-            prev_decision: sample_decision(100),
+            prev_decision: sample_decision(100).into(),
             forwarded: true,
         });
-        for pdu in [Pdu::Decision(sample_decision(4)), request] {
+        for pdu in [Pdu::Decision(sample_decision(4).into()), request] {
             let full = encode_pdu(&pdu);
             let body_len = full.len() - FRAME_TRAILER_LEN;
             for cut in 0..full.len() {
@@ -1108,7 +1108,7 @@ mod tests {
     #[test]
     fn bad_bool_is_rejected() {
         let mut good = BytesMut::new();
-        Pdu::Decision(sample_decision(3)).encode(&mut good);
+        Pdu::Decision(sample_decision(3).into()).encode(&mut good);
         // full_group (a scalar bool) is the byte right after tag(1) +
         // subrun(8) + coord(2). The second process_state entry (decoded in
         // bulk) follows stable (4 + 8n), attempts (4 + 4n) and its own
@@ -1127,9 +1127,9 @@ mod tests {
     fn decision_size_scales_linearly_in_n() {
         // Table 1 reports urcgc control sizes linear in n; the codec must
         // preserve that shape: fixed header + per-process cost.
-        let s5 = Pdu::Decision(Decision::genesis(5)).encoded_len();
-        let s10 = Pdu::Decision(Decision::genesis(10)).encoded_len();
-        let s20 = Pdu::Decision(Decision::genesis(20)).encoded_len();
+        let s5 = Pdu::Decision(Decision::genesis(5).into()).encoded_len();
+        let s10 = Pdu::Decision(Decision::genesis(10).into()).encoded_len();
+        let s20 = Pdu::Decision(Decision::genesis(20).into()).encoded_len();
         assert_eq!(s10 - s5, (s20 - s10) / 2);
         let per_process = (s10 - s5) / 5;
         // stable 8 + attempts 4 + state 1 + max_processed 10 + min_waiting 8
@@ -1142,14 +1142,14 @@ mod tests {
         // Section 6: "a message that urcgc generates for a group of 15
         // processes fits into a single IP datagram packet, by considering
         // its minimum size of 576 bytes".
-        let d = Pdu::Decision(Decision::genesis(15));
+        let d = Pdu::Decision(Decision::genesis(15).into());
         assert!(d.encoded_len() <= 576, "decision = {}", d.encoded_len());
         let rq = Pdu::Request(RequestMsg {
             sender: ProcessId(0),
             subrun: Subrun(0),
             last_processed: vec![0; 15],
             waiting: vec![0; 15],
-            prev_decision: Decision::genesis(15),
+            prev_decision: Decision::genesis(15).into(),
             forwarded: false,
         });
         assert!(rq.encoded_len() <= 1024, "request = {}", rq.encoded_len());

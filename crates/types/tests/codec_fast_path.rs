@@ -69,7 +69,7 @@ fn random_request(g: &mut Gen, n: usize) -> RequestMsg {
         subrun: Subrun(g.seq()),
         last_processed: (0..n).map(|_| g.seq()).collect(),
         waiting: (0..n).map(|_| g.seq()).collect(),
-        prev_decision: random_decision(g, n),
+        prev_decision: random_decision(g, n).into(),
         forwarded: g.flag(),
     }
 }
@@ -143,7 +143,7 @@ fn bulk_hooks_match_the_per_element_reference() {
     for n in [1, 3, 100, 1000] {
         for _ in 0..4 {
             for pdu in [
-                Pdu::Decision(random_decision(&mut g, n)),
+                Pdu::Decision(random_decision(&mut g, n).into()),
                 Pdu::Request(random_request(&mut g, n)),
             ] {
                 let bytes = body(&pdu);
@@ -162,7 +162,7 @@ fn every_single_bit_flip_of_an_n100_control_frame_is_rejected() {
     let mut g = Gen(100);
     for pdu in [
         Pdu::Request(random_request(&mut g, 100)),
-        Pdu::Decision(random_decision(&mut g, 100)),
+        Pdu::Decision(random_decision(&mut g, 100).into()),
     ] {
         let frame = encode_pdu(&pdu);
         let mut raw = frame.to_vec();
@@ -213,14 +213,14 @@ fn hex(bytes: &[u8]) -> String {
 
 #[test]
 fn n3_bodies_match_their_pinned_bytes() {
-    let decision = Pdu::Decision(pinned_decision());
+    let decision = Pdu::Decision(pinned_decision().into());
     assert_eq!(hex(&body(&decision)), PINNED_DECISION);
     let request = Pdu::Request(RequestMsg {
         sender: ProcessId(1),
         subrun: Subrun(42),
         last_processed: vec![3, 0, 0xFFFF_FFFF_0000_0001],
         waiting: vec![0, 4, 0],
-        prev_decision: pinned_decision(),
+        prev_decision: pinned_decision().into(),
         forwarded: true,
     });
     assert_eq!(hex(&body(&request)), PINNED_REQUEST);

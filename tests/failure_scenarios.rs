@@ -69,14 +69,14 @@ fn transient_silence_below_k_is_forgiven() {
     // simplest check is at the decision level using engines directly.
     let n = 4;
     let k = 3;
-    let mut prev = Decision::genesis(n);
+    let mut prev = std::sync::Arc::new(Decision::genesis(n));
     // Subruns 1 and 2: p3 silent (attempts 1, 2 < K).
     for s in 1..=2u64 {
         let mut m = urcgc_repro::history::StabilityMatrix::new(n);
         for i in 0..3u16 {
             m.record(ProcessId(i), vec![0; n], vec![0; n], &prev);
         }
-        prev = m.compute(Subrun(s), ProcessId(0), k, &prev);
+        prev = m.compute(Subrun(s), ProcessId(0), k, &prev).into();
         assert!(prev.process_state[3], "declared dead too early at s{s}");
     }
     // Subrun 3: p3 speaks again; counter resets.
@@ -84,7 +84,7 @@ fn transient_silence_below_k_is_forgiven() {
     for i in 0..4u16 {
         m.record(ProcessId(i), vec![0; n], vec![0; n], &prev);
     }
-    prev = m.compute(Subrun(3), ProcessId(0), k, &prev);
+    prev = m.compute(Subrun(3), ProcessId(0), k, &prev).into();
     assert_eq!(prev.attempts[3], 0);
     assert!(prev.process_state[3]);
 }
@@ -191,7 +191,7 @@ fn orphan_sequence_destroyed_group_wide() {
     };
     d.min_waiting[0] = 3;
     for e in [&mut e1, &mut e2] {
-        e.on_pdu(ProcessId(1), Pdu::Decision(d.clone()));
+        e.on_pdu(ProcessId(1), Pdu::Decision(d.clone().into()));
         assert_eq!(e.gauges().waiting_len, 0, "{} kept the orphan", e.me());
         let mut discarded = Vec::new();
         while let Some(o) = e.poll_output() {
